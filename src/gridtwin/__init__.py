@@ -58,7 +58,15 @@ from .telemetry import (
     import_csv,
     measure,
 )
-from .wls import StateEstimate, WlsProblem, drop_missing, estimate_wls, h_eval, jacobian_fd
+from .wls import (
+    StateEstimate,
+    WlsProblem,
+    drop_missing,
+    estimate_wls,
+    h_eval,
+    jacobian,
+    jacobian_fd,
+)
 from .autodiff import Parameter, Tape, Tensor, grad_check, sgd_step
 from .model import (
     ConcatBaselineModel,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import yaml
@@ -85,7 +86,11 @@ class LoadScenario:
 
 @dataclass(frozen=True)
 class FeederModel:
-    """Validated radial feeder with precomputed traversal and index tables."""
+    """Validated radial feeder with precomputed traversal and index tables.
+
+    The non-slack node indices, the flat voltage profile and the admittance
+    matrix are built on first use and kept, read-only, with the feeder.
+    """
 
     buses: tuple[Bus, ...]
     lines: tuple[Line, ...]
@@ -109,7 +114,21 @@ class FeederModel:
         return np.array([self.node_index[(bus_id, p)] for p in self.bus_map[bus_id].phases])
 
     def non_slack_nodes(self):
-        return np.array([i for i, (b, _) in enumerate(self.phase_nodes) if b != self.slack_bus])
+        return self._non_slack
+
+    @cached_property
+    def _non_slack(self):
+        ns = [i for i, (b, _) in enumerate(self.phase_nodes) if b != self.slack_bus]
+        return _read_only(np.array(ns, dtype=int))
+
+    @cached_property
+    def _flat_v(self):
+        return _read_only(np.array([self.slack_voltage[p] for _, p in self.phase_nodes],
+                                   dtype=complex))
+
+    @cached_property
+    def _admittance(self):
+        return _read_only(_build_admittance(self))
 
     def state_labels(self):
         """Column labels of the state vector: all re:bus:phase then im:bus:phase."""
@@ -119,6 +138,11 @@ class FeederModel:
     @property
     def n_states(self):
         return 2 * len(self.non_slack_nodes())
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
 
 def _canonical_phases(raw):
@@ -278,8 +302,13 @@ def admittance_matrix(feeder):
 
     Each line contributes the inverse of its active-phase impedance submatrix
     in the standard two-port pattern, so Y @ v yields injected currents and Y
-    is complex symmetric.
+    is complex symmetric. Built once per feeder; each call returns a copy the
+    caller may modify.
     """
+    return feeder._admittance.copy()
+
+
+def _build_admittance(feeder):
     n = feeder.n_nodes
     y = np.zeros((n, n), dtype=complex)
     for child in feeder.order[1:]:
@@ -303,10 +332,7 @@ def admittance_matrix(feeder):
 
 def flat_voltages(feeder):
     """Zero-load voltage profile: slack voltage replicated onto every bus."""
-    v = np.empty(feeder.n_nodes, dtype=complex)
-    for i, (_, phase) in enumerate(feeder.phase_nodes):
-        v[i] = feeder.slack_voltage[phase]
-    return v
+    return feeder._flat_v.copy()
 
 
 def state_to_voltages(feeder, x):
@@ -351,7 +377,7 @@ def solve_power_flow(feeder, loads, tol=1e-8, max_iter=100):
     if not tol > 0:
         raise ValueError("tol must be positive")
     s_load = _load_vector(feeder, loads)
-    y = admittance_matrix(feeder)
+    y = feeder._admittance
     v = flat_voltages(feeder)
     ns = feeder.non_slack_nodes()
 

@@ -1,10 +1,12 @@
 """Classical weighted-least-squares state estimation.
 
 Gauss-Newton on r(x) = z - h(x) with the normal equations (J'WJ) d = J'W r,
-W = diag(1/sigma^2). The Jacobian comes from central differences; steps that
-increase the weighted objective are halved up to ten times. Missing rows are
-simply deleted, which is exactly what makes the classical formulation
-fragile once masking removes observability.
+W = diag(1/sigma^2), solved by Cholesky. The Jacobian is the closed-form
+derivative of h in rectangular coordinates (`jacobian`; `jacobian_fd` keeps
+central differences as a reference); steps that increase the weighted
+objective are halved up to ten times. Missing rows are simply deleted, which
+is exactly what makes the classical formulation fragile once masking removes
+observability.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import NoConvergence, RankDeficient
 from .feeder import flat_state, state_to_voltages
@@ -88,6 +89,37 @@ def jacobian_fd(schema, Y, x, step=1e-6):
     return (hs[:, 0::2] - hs[:, 1::2]) / (2 * step)
 
 
+def jacobian(schema, Y, x):
+    """Closed-form Jacobian of h at x, one column per state entry.
+
+    With v = e + jf and s = v * conj(Y v), ds/de = diag(conj(Yv)) + diag(v) conj(Y)
+    and ds/df = j (diag(conj(Yv)) - diag(v) conj(Y)); P and Q rows are their
+    real and imaginary parts. Slack columns are dropped.
+    """
+    feeder = schema.feeder
+    v = state_to_voltages(feeder, np.asarray(x, dtype=float))
+    idx, kind = schema.node_idx, schema.kind_codes
+    rows = np.arange(len(idx))
+    vi = v[idx]
+    own = np.zeros((len(idx), feeder.n_nodes), dtype=complex)
+    own[rows, idx] = np.conj(Y[idx] @ v)
+    cross = vi[:, None] * np.conj(Y[idx])
+    ds_de, ds_df = own + cross, 1j * (own - cross)
+    q = (kind == 1)[:, None]
+    d_e = np.where(q, ds_de.imag, ds_de.real)
+    d_f = np.where(q, ds_df.imag, ds_df.real)
+    # A |v| row is (e, f)/|v|, the parts of v/|v|, and an angle row is
+    # (-f, e)/|v|^2, the parts of jv/|v|^2, both at the channel's own node.
+    volt = kind >= 2
+    d_e[volt] = d_f[volt] = 0.0
+    at = rows[volt], idx[volt]
+    mag = np.abs(vi[volt])
+    unit = np.where(kind[volt] == 2, vi[volt] / mag, 1j * vi[volt] / mag**2)
+    d_e[at], d_f[at] = unit.real, unit.imag
+    ns = feeder.non_slack_nodes()
+    return np.hstack([d_e[:, ns], d_f[:, ns]])
+
+
 def drop_missing(problem):
     """Delete masked rows from z, weights, and the schema view."""
     if problem.mask is None:
@@ -102,59 +134,80 @@ def drop_missing(problem):
     )
 
 
-def _normal_matrix(J, w):
-    return (J.T * w) @ J
+def _prepare(problem, x0):
+    """Masked rows dropped and the start point (flat unless x0 is given).
+
+    Raises RankDeficient when fewer rows than states remain.
+    """
+    problem = drop_missing(problem)
+    n = problem.n_states
+    if len(problem.z) < n:
+        raise RankDeficient(f"{len(problem.z)} measurements cannot determine {n} states")
+    x = np.array(flat_state(problem.schema.feeder) if x0 is None else x0, dtype=float)
+    return problem, x
+
+
+def _normal_cholesky(J, w, iteration):
+    """Lower Cholesky factor of the normal matrix J'WJ.
+
+    Raises RankDeficient when the condition number, read from the eigenvalues
+    of the symmetric matrix, exceeds COND_LIMIT (a non-positive smallest
+    eigenvalue counts as over it) or when Cholesky fails.
+    """
+    A = (J.T * w) @ J
+    eig = np.linalg.eigvalsh(A)
+    if not (eig[0] > 0 and eig[-1] / eig[0] <= COND_LIMIT):
+        raise RankDeficient(
+            f"normal matrix condition estimate exceeds {COND_LIMIT:g} at iteration {iteration}"
+        )
+    try:
+        return np.linalg.cholesky(A)
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficient(f"Cholesky failed at iteration {iteration}") from exc
 
 
 def estimate_wls(problem, x0=None, tol=1e-8, max_iter=40):
     """Gauss-Newton WLS solve with objective-descent damping.
 
-    Stops when the infinity-norm of the update falls below tol. Raises
-    RankDeficient when the normal matrix fails Cholesky or its condition
-    estimate exceeds 1e12 (the masked-out unobservable case), NoConvergence
-    when damping cannot find a descent step or iterations run out.
+    Stops when the infinity-norm of the update falls below tol, or when no
+    halving of an update within 10*tol lowers the objective: the objective
+    has reached its rounding floor there. Raises RankDeficient when the
+    normal matrix fails Cholesky or its condition number exceeds 1e12 (the
+    masked-out unobservable case), NoConvergence when damping cannot find a
+    descent step or iterations run out.
     """
-    problem = drop_missing(problem)
+    problem, x = _prepare(problem, x0)
     schema, Y, z, w = problem.schema, problem.Y, problem.z, problem.weights
-    n = problem.n_states
-    if len(z) < n:
-        raise RankDeficient(f"{len(z)} measurements cannot determine {n} states")
-    x = np.array(flat_state(schema.feeder) if x0 is None else x0, dtype=float)
 
-    def objective(xv):
+    def residual(xv):
         r = z - h_eval(schema, Y, xv)
-        return float(r @ (w * r))
+        return r, float(r @ (w * r))
 
-    f = objective(x)
+    r, f = residual(x)
     for iteration in range(1, max_iter + 1):
-        r = z - h_eval(schema, Y, x)
-        J = jacobian_fd(schema, Y, x)
-        A = _normal_matrix(J, w)
-        if np.linalg.cond(A) > COND_LIMIT:
-            raise RankDeficient(
-                f"normal matrix condition estimate exceeds {COND_LIMIT:g} at iteration {iteration}"
-            )
-        try:
-            factor = cho_factor(A)
-        except np.linalg.LinAlgError as exc:
-            raise RankDeficient(f"Cholesky failed at iteration {iteration}") from exc
-        delta = cho_solve(factor, J.T @ (w * r))
-        if np.max(np.abs(delta)) <= tol:
+        J = jacobian(schema, Y, x)
+        L = _normal_cholesky(J, w, iteration)
+        delta = np.linalg.solve(L.T, np.linalg.solve(L, J.T @ (w * r)))
+        step = np.max(np.abs(delta))
+        if step <= tol:
             x = x + delta
-            return StateEstimate(x=x, iterations=iteration, residual=objective(x), converged=True)
+            return StateEstimate(x=x, iterations=iteration, residual=residual(x)[1],
+                                 converged=True)
         alpha = 1.0
         for _ in range(11):
             trial = x + alpha * delta
-            f_trial = objective(trial)
+            r_trial, f_trial = residual(trial)
             if f_trial <= f:
                 break
             alpha *= 0.5
         else:
+            if step <= 10 * tol:
+                return StateEstimate(x=x, iterations=iteration, residual=f, converged=True)
             raise NoConvergence(
                 f"no descent step after 10 halvings at iteration {iteration}",
                 iterations=iteration,
             )
-        x, f = trial, f_trial
+        x, r, f = trial, r_trial, f_trial
 
     raise NoConvergence(f"Gauss-Newton did not converge in {max_iter} iterations",
                         iterations=max_iter)
@@ -163,21 +216,13 @@ def estimate_wls(problem, x0=None, tol=1e-8, max_iter=40):
 def feasibility_check(problem, x0=None):
     """Cheap observability probe at a single point (no iterations).
 
-    Applies the same detection rule as estimate_wls (row count, Cholesky,
-    condition limit) to the Jacobian at x0. Returns True when a Gauss-Newton
-    step is well-posed.
+    Applies the same detection rule as the first iteration of estimate_wls
+    (row count, condition limit, Cholesky) to the Jacobian at x0. Returns
+    True when a Gauss-Newton step is well-posed.
     """
-    problem = drop_missing(problem)
-    n = problem.n_states
-    if len(problem.z) < n:
-        return False
-    x = np.array(flat_state(problem.schema.feeder) if x0 is None else x0, dtype=float)
-    J = jacobian_fd(problem.schema, problem.Y, x)
-    A = _normal_matrix(J, problem.weights)
-    if np.linalg.cond(A) > COND_LIMIT:
-        return False
     try:
-        cho_factor(A)
-    except np.linalg.LinAlgError:
+        problem, x = _prepare(problem, x0)
+        _normal_cholesky(jacobian(problem.schema, problem.Y, x), problem.weights, iteration=1)
+    except RankDeficient:
         return False
     return True

@@ -39,6 +39,35 @@ def solved8(feeder8):
     return solve_power_flow(feeder, nominal, tol=1e-10)
 
 
+def z3(z):
+    """Single-phase impedance embedded in a 3x3 grid."""
+    grid = [[[0.0, 0.0]] * 3 for _ in range(3)]
+    grid[0][0] = [z.real, z.imag]
+    return grid
+
+
+def partial_phase_spec():
+    """Three-phase slack, a two-phase (a, c) bus and a one-phase (a) bus."""
+    return {
+        "buses": [
+            {"id": "s", "phases": "abc"},
+            {"id": "m", "phases": "ac"},
+            {"id": "e", "phases": "a"},
+        ],
+        "lines": [
+            {"from": "s", "to": "m", "z": [
+                [[0.01, 0.03], [0.003, 0.01], [0.003, 0.01]],
+                [[0.003, 0.01], [0.011, 0.031], [0.003, 0.01]],
+                [[0.003, 0.01], [0.003, 0.01], [0.012, 0.032]],
+            ]},
+            {"from": "m", "to": "e", "z": z3(0.01 + 0.02j)},
+        ],
+        "slack": {"bus": "s", "voltage": {
+            "a": [1.0, 0.0], "b": [-0.5, -0.866], "c": [-0.5, 0.866],
+        }},
+    }
+
+
 def two_bus_oracle(v1=1.0 + 0.0j, z=0.01 + 0.02j, s2=0.1 + 0.05j, iters=200):
     """Scalar fixed-point iteration V2 = V1 - z * conj(S2 / V2)."""
     v2 = v1

@@ -19,14 +19,7 @@ from gridtwin.feeder import (
     voltages_to_state,
 )
 
-from conftest import two_bus_oracle
-
-
-def z3(z):
-    """Single-phase impedance embedded in a 3x3 grid."""
-    grid = [[[0.0, 0.0]] * 3 for _ in range(3)]
-    grid[0][0] = [z.real, z.imag]
-    return grid
+from conftest import partial_phase_spec, two_bus_oracle, z3
 
 
 def minimal_spec(**overrides):
@@ -93,25 +86,7 @@ class TestBuildFeeder:
         assert set(feeder.order) == {b.id for b in feeder.buses}
 
     def test_missing_phase_buses_supported(self):
-        spec = {
-            "buses": [
-                {"id": "s", "phases": "abc"},
-                {"id": "m", "phases": "ac"},
-                {"id": "e", "phases": "a"},
-            ],
-            "lines": [
-                {"from": "s", "to": "m", "z": [
-                    [[0.01, 0.03], [0.003, 0.01], [0.003, 0.01]],
-                    [[0.003, 0.01], [0.011, 0.031], [0.003, 0.01]],
-                    [[0.003, 0.01], [0.003, 0.01], [0.012, 0.032]],
-                ]},
-                {"from": "m", "to": "e", "z": z3(0.01 + 0.02j)},
-            ],
-            "slack": {"bus": "s", "voltage": {
-                "a": [1.0, 0.0], "b": [-0.5, -0.866], "c": [-0.5, 0.866],
-            }},
-        }
-        feeder = build_feeder(spec)
+        feeder = build_feeder(partial_phase_spec())
         assert feeder.n_nodes == 6  # 3 + 2 + 1 phase-nodes
         sol = solve_power_flow(feeder, LoadScenario({("e", "a"): 0.05 + 0.02j}))
         assert sol.mismatch <= 1e-8
@@ -202,6 +177,22 @@ class TestAdmittance:
             for j, (bj, _) in enumerate(feeder.phase_nodes):
                 if y[i, j] != 0 and bi != bj:
                     assert frozenset((bi, bj)) in incident
+
+    def test_callers_get_their_own_copy(self, feeder2):
+        # Y is built once per feeder; what a caller does to its copy changes
+        # neither later copies nor the power flow.
+        feeder, nominal = feeder2
+        before = solve_power_flow(feeder, nominal, tol=1e-12)
+        y = admittance_matrix(feeder)
+        y[:] = 0.0
+        flat = flat_voltages(feeder)
+        flat[:] = 0.0
+        assert np.all(admittance_matrix(feeder) != 0)
+        assert np.all(flat_voltages(feeder) != 0)
+        after = solve_power_flow(feeder, nominal, tol=1e-12)
+        assert np.array_equal(before.v, after.v)
+        with pytest.raises(ValueError):
+            feeder.non_slack_nodes()[0] = 0
 
     def test_state_roundtrip(self, feeder8, solved8):
         feeder, _ = feeder8

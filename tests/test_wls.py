@@ -1,8 +1,19 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from gridtwin.errors import RankDeficient
-from gridtwin.feeder import admittance_matrix, flat_state, voltages_to_state
+from gridtwin import bench
+from gridtwin.errors import NoConvergence, RankDeficient
+from gridtwin.feeder import (
+    LoadScenario,
+    admittance_matrix,
+    build_feeder,
+    flat_state,
+    solve_power_flow,
+    voltages_to_state,
+)
 from gridtwin.telemetry import default_schema, measure
 from gridtwin.wls import (
     WlsProblem,
@@ -10,8 +21,11 @@ from gridtwin.wls import (
     estimate_wls,
     feasibility_check,
     h_eval,
+    jacobian,
     jacobian_fd,
 )
+
+from conftest import partial_phase_spec
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +108,26 @@ class TestEstimate:
 
 
 class TestJacobian:
+    @pytest.mark.parametrize("case", ["eight_bus", "partial_phases"])
+    def test_closed_form_matches_central_differences(self, case, feeder8, schema8):
+        if case == "eight_bus":
+            feeder, loads = feeder8
+            schema = schema8
+        else:
+            feeder = build_feeder(partial_phase_spec())
+            loads = LoadScenario({("e", "a"): 0.05 + 0.02j, ("m", "c"): 0.03 + 0.01j})
+            schema = default_schema(feeder, vang_nodes=["m:a", "m:c", "e:a"])
+        assert set(schema.kind_codes) == {0, 1, 2, 3}
+        y = admittance_matrix(feeder)
+        solved = voltages_to_state(feeder, solve_power_flow(feeder, loads, tol=1e-12).v)
+        rng = np.random.default_rng(11)
+        points = [flat_state(feeder), solved]
+        points += [solved + 0.05 * rng.standard_normal(len(solved)) for _ in range(3)]
+        for x in points:
+            j = jacobian(schema, y, x)
+            assert j.shape == (len(schema), feeder.n_states)
+            np.testing.assert_allclose(j, jacobian_fd(schema, y, x), rtol=1e-6, atol=1e-9)
+
     def test_vmag_row_at_flat_start(self, feeder2, schema2, noiseless2):
         feeder, _ = feeder2
         y, _ = noiseless2
@@ -146,6 +180,23 @@ class TestDropMissing:
             (len(schema8) - mask.sum()) / schema8.feeder.n_states
         )
 
+    def test_probe_rejection_means_rank_deficient(self, schema8, noiseless8):
+        # The probe and the first flat-start iteration share one normal-matrix
+        # check, so every snapshot the probe rejects is rank deficient.
+        y, z = noiseless8
+        rejected = by_condition = 0
+        for seed in range(100):
+            rng = np.random.default_rng((78, seed))
+            mask = rng.random(len(schema8)) < 0.25
+            problem = WlsProblem.from_schema(schema8, y, z, mask=mask)
+            if feasibility_check(problem):
+                continue
+            rejected += 1
+            by_condition += int((~mask).sum()) >= schema8.feeder.n_states
+            with pytest.raises(RankDeficient):
+                estimate_wls(problem)
+        assert 0 < by_condition < rejected < 100
+
     def test_monte_carlo_rank_deficiency_rate(self, schema8, noiseless8):
         y, z = noiseless8
         failures = 0
@@ -159,3 +210,42 @@ class TestDropMissing:
         # at 40% masking the 58-channel schema drops below 42 usable rows
         # almost every draw
         assert failures / 100 > 0.5
+
+
+class TestRoundingFloor:
+    """A Gauss-Newton step within 10*tol that no halving can make descend ends
+    the solve as converged: the objective has reached its rounding floor."""
+
+    @pytest.fixture(scope="class")
+    def stalling(self):
+        # The default experiment (feeder_8bus, 500 steps, alpha 0.2, eval seed 0):
+        # at step 434 the update shrinks to between 1e-8 and 1e-7 (at iteration
+        # 32), and no halving of it lowers the objective.
+        config = bench.ExperimentConfig()
+        feeder, _, dataset = bench.generate_dataset(config)
+        mask = bench.eval_mask(dataset, 0.2, 0)[434]
+        return WlsProblem.from_schema(dataset.schema, admittance_matrix(feeder),
+                                      dataset.z[434], mask=mask)
+
+    def test_stall_within_ten_tol_converges(self, stalling):
+        est = estimate_wls(stalling)
+        assert est.converged
+        kept = drop_missing(stalling)
+        r = kept.z - h_eval(kept.schema, kept.Y, est.x)
+        assert est.residual == pytest.approx(float(r @ (kept.weights * r)), rel=1e-12)
+        j = jacobian_fd(kept.schema, kept.Y, est.x)
+        a = (j.T * kept.weights) @ j
+        step = np.linalg.solve(a, j.T @ (kept.weights * r))
+        assert np.max(np.abs(step)) < 1e-6
+        # The same path with tol ten times smaller puts the stalled update
+        # beyond 10*tol, so the solve ended through the rounding-floor rule.
+        with pytest.raises(NoConvergence, match="no descent step") as info:
+            estimate_wls(stalling, tol=1e-9)
+        assert info.value.iterations == est.iterations
+
+
+def test_import_leaves_scipy_out():
+    code = "import sys, gridtwin.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
