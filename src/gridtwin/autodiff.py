@@ -7,9 +7,17 @@ into a fresh tape each step via Tape.watch; backward overwrites their .grad
 (a second backward on the same tape reproduces the first).
 
 Supported ops: matmul, add, sub, mul, scale, transpose, row_softmax,
-sigmoid, relu, concat_lastdim, slice_lastdim, mean_all, square. Elementwise
-ops broadcast only over the leading axis ((T, d) op (d,)); anything else
-needs an explicit reshape.
+sigmoid, relu, concat_lastdim, slice_lastdim, mean_all, square, and two fused
+ops with hand-written backward passes: linear (x @ w + b) and attention (a
+whole grouped-query attention block with its residual). Elementwise ops
+broadcast only over the leading axis ((T, d) op (d,)); matmul, transpose and
+row_softmax take 2-D operands. linear and attention work on the last axes of
+their input, (..., fan_in) and (..., T, d): any leading axes are batch axes,
+and parameter gradients are summed over them.
+
+Every recorded value is checked for NaN and infinity (NonFiniteValue). A
+tape refers to its parameters by record index, so a finished tape is freed
+by reference counting alone.
 """
 
 from __future__ import annotations
@@ -98,7 +106,7 @@ class Tape:
 
     def _record(self, op, inputs, value, ctx=None, param=None):
         value = np.asarray(value, dtype=float)
-        if not np.all(np.isfinite(value)):
+        if not np.isfinite(value).all():
             raise NonFiniteValue(f"op {op!r} produced a non-finite value")
         self.ops.append(op)
         self.inputs.append(inputs)
@@ -115,8 +123,8 @@ class Tape:
         """Leaf bound to a Parameter; memoized so reuse accumulates properly."""
         key = id(param)
         if key not in self._watched:
-            self._watched[key] = self._record("leaf", (), param.value, param=param)
-        return self._watched[key]
+            self._watched[key] = self._record("leaf", (), param.value, param=param).idx
+        return Tensor(self, self._watched[key])
 
     def backward(self, loss):
         """Populate .grad of every watched Parameter with d(loss)/d(param)."""
@@ -326,6 +334,102 @@ def _back_mean_all(tape, i, g, grads):
     _accumulate(grads, src, np.full_like(tape.values[src], float(g) / tape.ctx[i]))
 
 
+# --- fused layers; leading axes of the input are batch axes ---
+
+def _rows(a):
+    """All leading axes folded into one: (..., k) -> (N, k)."""
+    return a.reshape(-1, a.shape[-1])
+
+
+def linear(x, w, b):
+    """Affine map x @ w + b over the last axis of x."""
+    tape = _tape_of(x, w, b)
+    if w.value.ndim != 2 or x.shape[-1:] != w.shape[:1] or b.shape != w.shape[1:]:
+        raise ShapeMismatch(f"linear shapes x {x.shape}, w {w.shape}, b {b.shape}")
+    return tape._record("linear", (x.idx, w.idx, b.idx), x.value @ w.value + b.value)
+
+
+def _back_linear(tape, i, g, grads):
+    ix, iw, ib = tape.inputs[i]
+    g_rows = _rows(g)
+    _accumulate(grads, ib, g_rows.sum(axis=0))
+    _accumulate(grads, ix, g @ tape.values[iw].T)
+    _accumulate(grads, iw, _rows(tape.values[ix]).T @ g_rows)
+
+
+def attention(x, wq, wk, wv, wo, heads, groups):
+    """Grouped-query self-attention over the time axis of x (..., T, d), plus x.
+
+    Keys and values are projected once per group (x @ wk[:, group columns])
+    and shared by the heads // groups query heads of that group; every head
+    runs softmax(q k^T / sqrt(d_head)) v in one batched product over
+    (..., groups, heads // groups, T, d_head). Heads are concatenated in
+    order and projected by wo. The float operations per head are those of
+    the per-head primitive composition, so outputs match it bit for bit.
+    """
+    tape = _tape_of(x, wq, wk, wv, wo)
+    *lead, t_len, d = x.shape
+    if d % heads or heads % groups:
+        raise ShapeMismatch(f"d={d} heads={heads} groups={groups} do not divide")
+    d_head, per_group = d // heads, heads // groups
+    if not (wq.shape == wo.shape == (d, d) and wk.shape == wv.shape == (d, groups * d_head)):
+        raise ShapeMismatch(f"attention weights {wq.shape} {wk.shape} {wv.shape} {wo.shape} "
+                            f"for d={d} heads={heads} groups={groups}")
+    xv = x.value
+    rows = xv[..., None, :, :]  # (..., 1, T, d) against (groups, d, d_head)
+    # q: (..., T, d) -> (..., groups, per_group, T, d_head); k, v: (..., groups, T, d_head)
+    q = _heads_first((xv @ wq.value).reshape(*lead, t_len, groups, per_group, d_head))
+    k = rows @ _by_group(wk.value, groups)
+    v = rows @ _by_group(wv.value, groups)
+    c = float(1.0 / np.sqrt(d_head))
+    scores = (q @ k[..., None, :, :].swapaxes(-1, -2)) * c
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    weights = e / e.sum(axis=-1, keepdims=True)
+    heads_out = (weights @ v[..., None, :, :]).reshape(*lead, heads, t_len, d_head)
+    merged = heads_out.swapaxes(-3, -2).reshape(*lead, t_len, d)
+    out = merged @ wo.value + xv
+    return tape._record("attention", (x.idx, wq.idx, wk.idx, wv.idx, wo.idx), out,
+                        ctx=(q, k, v, weights, merged, c))
+
+
+def _by_group(w, groups):
+    """(d, groups * d_head) -> (groups, d, d_head): one column block per group."""
+    return w.reshape(w.shape[0], groups, -1).swapaxes(0, 1)
+
+
+def _heads_first(a):
+    """(..., T, groups, per_group, d_head) -> (..., groups, per_group, T, d_head)."""
+    return a.swapaxes(-4, -3).swapaxes(-3, -2)
+
+
+def _time_first(a):
+    """Inverse of _heads_first."""
+    return a.swapaxes(-3, -2).swapaxes(-4, -3)
+
+
+def _back_attention(tape, i, g, grads):
+    ix, iq, ik, iv, io = tape.inputs[i]
+    q, k, v, weights, merged, c = tape.ctx[i]
+    x = tape.values[ix]
+    *lead, t_len, d = x.shape
+    groups, per_group, _, d_head = q.shape[-4:]
+    g_heads = _heads_first((g @ tape.values[io].T).reshape(*lead, t_len, groups, per_group,
+                                                           d_head))
+    g_weights = g_heads @ v[..., None, :, :].swapaxes(-1, -2)
+    g_v = (weights.swapaxes(-1, -2) @ g_heads).sum(axis=-3)
+    g_scores = weights * (g_weights - (g_weights * weights).sum(axis=-1, keepdims=True)) * c
+    g_q = _time_first(g_scores @ k[..., None, :, :]).reshape(*lead, t_len, d)
+    g_k = (g_scores.swapaxes(-1, -2) @ q).sum(axis=-3)
+    g_k, g_v = (a.swapaxes(-3, -2).reshape(*lead, t_len, groups * d_head) for a in (g_k, g_v))
+    x_rows = _rows(x).T
+    _accumulate(grads, io, _rows(merged).T @ _rows(g))
+    _accumulate(grads, iq, x_rows @ _rows(g_q))
+    _accumulate(grads, ik, x_rows @ _rows(g_k))
+    _accumulate(grads, iv, x_rows @ _rows(g_v))
+    g_x = g + g_q @ tape.values[iq].T + g_k @ tape.values[ik].T + g_v @ tape.values[iv].T
+    _accumulate(grads, ix, g_x)
+
+
 _BACKWARD = {
     "add": _back_add,
     "sub": _back_sub,
@@ -340,6 +444,8 @@ _BACKWARD = {
     "concat_lastdim": _back_concat,
     "slice_lastdim": _back_slice,
     "mean_all": _back_mean_all,
+    "linear": _back_linear,
+    "attention": _back_attention,
 }
 
 # name -> callable, for generic dispatch and op-sweep tests
@@ -357,6 +463,8 @@ OPS = {
     "slice_lastdim": slice_lastdim,
     "mean_all": mean_all,
     "square": square,
+    "linear": linear,
+    "attention": attention,
 }
 
 
@@ -412,14 +520,29 @@ def sgd_step(params, lr):
 
 
 class AdamState:
-    """Optional Adam optimizer (off by default; plain SGD is the baseline)."""
+    """Optional Adam optimizer (off by default; plain SGD is the baseline).
+
+    The moments live in one flat vector each, and every parameter's `.value`
+    is rebound to a view of one flat buffer, so a step is a fixed handful of
+    in-place ufuncs over all parameters at once. The expressions and their
+    order are those of the per-parameter update, so the result is the same
+    bit for bit. Rebinding a parameter's `.value` afterwards detaches it
+    from the optimizer.
+    """
 
     def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = list(params)
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = [np.zeros_like(p.value) for p in self.params]
-        self.v = [np.zeros_like(p.value) for p in self.params]
+        sizes = [p.value.size for p in self.params]
+        self.values = np.concatenate([p.value.ravel() for p in self.params])
+        for p, end, size in zip(self.params, np.cumsum(sizes), sizes):
+            p.value = self.values[end - size:end].reshape(p.value.shape)
+        self.m = np.zeros_like(self.values)
+        self.v = np.zeros_like(self.values)
+        self._grad = np.empty_like(self.values)
+        self._a = np.empty_like(self.values)
+        self._b = np.empty_like(self.values)
 
     def step(self, lr):
         for p in self.params:
@@ -428,11 +551,26 @@ class AdamState:
         self.t += 1
         b1t = 1.0 - self.beta1**self.t
         b2t = 1.0 - self.beta2**self.t
-        for i, p in enumerate(self.params):
-            g = p.grad
-            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g * g
-            p.value -= lr * (self.m[i] / b1t) / (np.sqrt(self.v[i] / b2t) + self.eps)
+        g, a, b = self._grad, self._a, self._b
+        np.concatenate([p.grad.ravel() for p in self.params], out=g)
+        # m = beta1 * m + (1 - beta1) * g
+        np.multiply(self.m, self.beta1, out=self.m)
+        np.multiply(g, 1 - self.beta1, out=a)
+        np.add(self.m, a, out=self.m)
+        # v = beta2 * v + (1 - beta2) * g * g
+        np.multiply(self.v, self.beta2, out=self.v)
+        np.multiply(g, 1 - self.beta2, out=a)
+        np.multiply(a, g, out=a)
+        np.add(self.v, a, out=self.v)
+        # value -= lr * (m / b1t) / (sqrt(v / b2t) + eps)
+        np.divide(self.m, b1t, out=a)
+        np.multiply(a, lr, out=a)
+        np.divide(self.v, b2t, out=b)
+        np.sqrt(b, out=b)
+        np.add(b, self.eps, out=b)
+        np.divide(a, b, out=a)
+        np.subtract(self.values, a, out=self.values)
+        for p in self.params:
             p.grad = None
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +77,12 @@ class ExperimentConfig:
             raise ConfigError("at least one evaluation seed is required")
         if not 0.0 <= self.train_alpha < 1.0:
             raise ConfigError("train_alpha must lie in [0, 1)")
+        unknown = set(self.model) - {f.name for f in fields(ModelConfig)}
+        if unknown:
+            raise ConfigError(f"unknown model keys: {sorted(unknown)}")
+        window = self.model.get("window", ModelConfig.window)
+        if window >= self.steps:
+            raise ConfigError(f"model window {window} must be shorter than steps {self.steps}")
         return self
 
     def to_dict(self):
@@ -456,19 +462,26 @@ def run_sweep(config, jobs=1, progress=None):
         for seed in range(config.wls_failure_seeds):
             tasks.append(("wls_rank", alpha, seed))
 
+    # The estimates of the first grid point feed the time-series plot.
+    tracked = {}
+
     def run_task(task):
         kind, alpha, seed = task
         rows = []
         if kind == "point":
-            dt_metrics, _, _ = evaluate_model(dt_model, dataset, alpha, seed)
+            dt_metrics, dt_xhat, steps = evaluate_model(dt_model, dataset, alpha, seed)
             for metric, value in dt_metrics.items():
                 rows.append({"method": METHOD_DT, "alpha": alpha, "seed": seed,
                              "metric": metric, "value": value})
-            ab_metrics, _, _ = evaluate_model(ab_model, dataset, alpha, seed)
+            ab_metrics, ab_xhat, _ = evaluate_model(ab_model, dataset, alpha, seed)
             for metric, value in ab_metrics.items():
                 rows.append({"method": METHOD_ABLATION, "alpha": alpha, "seed": seed,
                              "metric": metric, "value": value})
-            wls_metrics, counts, _, _ = evaluate_wls(feeder, dataset, alpha, seed, mcfg.window)
+            wls_metrics, counts, wls_est, wls_steps = evaluate_wls(feeder, dataset, alpha, seed,
+                                                                   mcfg.window)
+            if task == tasks[0]:
+                tracked.update(steps=steps, dt=dt_xhat, ablation=ab_xhat, wls=wls_est,
+                               wls_steps=wls_steps)
             if wls_metrics:
                 for metric, value in wls_metrics.items():
                     rows.append({"method": METHOD_WLS, "alpha": alpha, "seed": seed,
@@ -507,27 +520,23 @@ def run_sweep(config, jobs=1, progress=None):
                 fh.flush()
                 all_rows.extend(rows)
 
-    timeseries = build_timeseries(config, feeder, dataset, dt_model, ab_model)
+    timeseries = build_timeseries(config, dataset, **tracked)
     emit_report(all_rows, out, timeseries=timeseries)
     return all_rows
 
 
-def build_timeseries(config, feeder, dataset, dt_model, ab_model=None):
-    """Truth-versus-estimate magnitude track at the configured node."""
-    alpha, seed = config.alphas[0], config.seeds[0]
+def build_timeseries(config, dataset, steps, dt, ablation, wls, wls_steps):
+    """Truth-versus-estimate magnitude track at the configured node, from the
+    estimates of the first grid point (alphas[0], seeds[0]) over `steps`; the
+    WLS track is drawn only when every step solved."""
     col = _node_column(dataset, config.timeseries_node)
-    _, dt_xhat, steps = evaluate_model(dt_model, dataset, alpha, seed)
     columns = [
         ("truth", _magnitudes_at(dataset, dataset.x[steps], col).tolist()),
-        (METHOD_DT, _magnitudes_at(dataset, dt_xhat, col).tolist()),
+        (METHOD_DT, _magnitudes_at(dataset, dt, col).tolist()),
+        (METHOD_ABLATION, _magnitudes_at(dataset, ablation, col).tolist()),
     ]
-    if ab_model is not None:
-        _, ab_xhat, _ = evaluate_model(ab_model, dataset, alpha, seed)
-        columns.append((METHOD_ABLATION, _magnitudes_at(dataset, ab_xhat, col).tolist()))
-    _, _, wls_est, wls_steps = evaluate_wls(feeder, dataset, alpha, seed,
-                                            dt_model.config.window)
     if len(wls_steps) == len(steps):
-        columns.append((METHOD_WLS, _magnitudes_at(dataset, wls_est, col).tolist()))
+        columns.append((METHOD_WLS, _magnitudes_at(dataset, wls, col).tolist()))
     return (config.timeseries_node, steps, columns)
 
 

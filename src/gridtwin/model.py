@@ -12,8 +12,14 @@ through sigmoid cross-gates:
 Branch outputs are linearly projected, concatenated, and decoded by a
 two-layer head into per-step rectangular voltage states. Training minimizes
 mean squared error over the whole window with fresh Bernoulli input masks
-drawn every epoch as augmentation; the optimizer is plain SGD unless the
-config opts into Adam.
+drawn every epoch as augmentation, one optimizer step per window; the
+optimizer is plain SGD unless the config opts into Adam.
+
+On the tape every affine layer is one `linear` op and every attention block
+one fused `attention` op, so a forward pass records 86 ops at the default
+shape (two blocks). Inputs may carry a leading batch axis, (B, T, m):
+predict_series runs all requested windows as one batch, with the same float
+operations per window as a single-window pass.
 """
 
 from __future__ import annotations
@@ -67,11 +73,12 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class Window:
-    """One training/inference sample: masked-normalized inputs and targets."""
+    """Masked-normalized inputs and targets of one window, (T, .), or of a
+    batch of windows, (B, T, .)."""
 
-    z_power: np.ndarray  # (T, m_p)
-    z_volt: np.ndarray  # (T, m_v)
-    targets: np.ndarray  # (T, n)
+    z_power: np.ndarray  # (..., T, m_p)
+    z_volt: np.ndarray  # (..., T, m_v)
+    targets: np.ndarray  # (..., T, n)
 
 
 def positional_table(steps, d):
@@ -144,9 +151,9 @@ def _gate(name, d, d_ff, rng):
 
 
 def affine(x, lin):
-    """x @ w + b on the tape."""
+    """x @ w + b on the tape, over the last axis of x."""
     tape = x.tape
-    return ad.add(ad.matmul(x, tape.watch(lin.w)), tape.watch(lin.b))
+    return ad.linear(x, tape.watch(lin.w), tape.watch(lin.b))
 
 
 def project_branch(tape, z_values, lin, pos=None):
@@ -165,44 +172,26 @@ def gqa_attention(x, params, heads, groups, counters=None):
     Keys/values are projected once per group (instrumented via counters
     'k_projections'/'v_projections') and shared by heads // groups query
     heads each. Scores follow softmax(Q K^T / sqrt(d_head)) V per head;
-    heads are concatenated, output-projected, and added back onto x.
+    heads are concatenated, output-projected, and added back onto x. The
+    whole block is one fused tape op (autodiff.attention); x may carry
+    leading batch axes, (..., T, d).
     """
-    t_len, d = x.shape
-    if d % heads != 0 or heads % groups != 0:
-        raise ShapeMismatch(f"d={d} heads={heads} groups={groups} do not divide")
-    d_head = d // heads
     tape = x.tape
-    q_full = ad.matmul(x, tape.watch(params.wq))
-    wk = tape.watch(params.wk)
-    wv = tape.watch(params.wv)
-    keys, values = [], []
-    for g in range(groups):
-        lo, hi = g * d_head, (g + 1) * d_head
-        keys.append(ad.matmul(x, ad.slice_lastdim(wk, lo, hi)))
-        values.append(ad.matmul(x, ad.slice_lastdim(wv, lo, hi)))
-        if counters is not None:
-            counters["k_projections"] = counters.get("k_projections", 0) + 1
-            counters["v_projections"] = counters.get("v_projections", 0) + 1
-    heads_per_group = heads // groups
-    head_outputs = []
-    for h in range(heads):
-        g = h // heads_per_group
-        q = ad.slice_lastdim(q_full, h * d_head, (h + 1) * d_head)
-        scores = ad.scale(ad.matmul(q, ad.transpose(keys[g])), 1.0 / np.sqrt(d_head))
-        attn = ad.row_softmax(scores)
-        head_outputs.append(ad.matmul(attn, values[g]))
-    merged = head_outputs[0]
-    for h in head_outputs[1:]:
-        merged = ad.concat_lastdim(merged, h)
-    out = ad.matmul(merged, tape.watch(params.wo))
-    return ad.add(out, x)
+    out = ad.attention(x, tape.watch(params.wq), tape.watch(params.wk),
+                       tape.watch(params.wv), tape.watch(params.wo), heads, groups)
+    if counters is not None:
+        counters["k_projections"] = counters.get("k_projections", 0) + groups
+        counters["v_projections"] = counters.get("v_projections", 0) + groups
+    return out
 
 
 def mha_attention(x, params, heads, counters=None):
     """Standard multi-head attention reference: keys/values per head.
 
-    With groups == heads this performs the identical float operations as
-    gqa_attention, so outputs match bit for bit.
+    Built from primitive tape ops, one slice, product and softmax per head,
+    over a single (T, d) window. With groups == heads the fused
+    gqa_attention performs the identical float operations, so outputs match
+    bit for bit.
     """
     t_len, d = x.shape
     d_head = d // heads
@@ -232,8 +221,8 @@ def mha_attention(x, params, heads, counters=None):
 def gate_forward(x, gp):
     """Two-layer gate network: relu hidden, sigmoid output in (0, 1)."""
     tape = x.tape
-    hidden = ad.relu(ad.add(ad.matmul(x, tape.watch(gp.w1)), tape.watch(gp.b1)))
-    return ad.sigmoid(ad.add(ad.matmul(hidden, tape.watch(gp.w2)), tape.watch(gp.b2)))
+    hidden = ad.relu(ad.linear(x, tape.watch(gp.w1), tape.watch(gp.b1)))
+    return ad.sigmoid(ad.linear(hidden, tape.watch(gp.w2), tape.watch(gp.b2)))
 
 
 def cross_gate(a1, a2, gate1, gate2):
@@ -325,9 +314,8 @@ class DtModel:
         return self.forward(tape, window.z_power, window.z_volt, counters)
 
     def estimate_voltages(self, window):
-        """Full forward pass for one window; returns (T, n) state estimates."""
-        tape = ad.Tape()
-        return self.forward_window(tape, window).value
+        """Forward pass over one window or a batch; returns (..., T, n) estimates."""
+        return self.forward_window(ad.Tape(), window).value
 
     def save(self, path):
         extra = {"model_kind": "dt", "model_config": _config_dict(self.config)}
@@ -374,9 +362,9 @@ class ConcatBaselineModel:
     def param_count(self):
         return sum(p.value.size for p in self.parameters())
 
-    def forward_window(self, tape, window, counters=None):
+    def forward(self, tape, z_power, z_volt, counters=None):
         cfg = self.config
-        z = np.concatenate([window.z_power, window.z_volt], axis=1)
+        z = np.concatenate([z_power, z_volt], axis=-1)
         x = project_branch(tape, z, self.proj, self.pos)
         for blk in self.blocks:
             x = gqa_attention(x, blk, cfg.heads, cfg.groups, counters)
@@ -384,9 +372,12 @@ class ConcatBaselineModel:
         hidden = ad.relu(affine(o, self.head1))
         return affine(hidden, self.head2)
 
+    def forward_window(self, tape, window, counters=None):
+        return self.forward(tape, window.z_power, window.z_volt, counters)
+
     def estimate_voltages(self, window):
-        tape = ad.Tape()
-        return self.forward_window(tape, window).value
+        """Forward pass over one window or a batch; returns (..., T, n) estimates."""
+        return self.forward_window(ad.Tape(), window).value
 
     def save(self, path):
         extra = {"model_kind": "concat_baseline", "model_config": _config_dict(self.config)}
@@ -430,15 +421,17 @@ def _assign(params, arrays):
         p.value = value
 
 
-def build_window(dataset, t_end, mask_rows, config):
-    """Assemble one window ending at t_end from normalized, masked rows."""
-    t0 = t_end - config.window + 1
-    rows = dataset.normalize(dataset.z[t0:t_end + 1])
-    rows = np.where(mask_rows | dataset.mask[t0:t_end + 1], 0.0, rows)
+def build_windows(dataset, t_ends, masks, config):
+    """Batch of the windows ending at each of t_ends, from normalized rows with
+    `masks` (n_steps, m) and the dataset's own gaps zeroed; (B, T, .) arrays."""
+    t_ends = np.asarray(t_ends, dtype=int)
+    steps = t_ends[:, None] + np.arange(1 - config.window, 1)
+    rows = dataset.normalize(dataset.z[steps])
+    rows = np.where(masks[steps] | dataset.mask[steps], 0.0, rows)
     return Window(
-        z_power=rows[:, list(config.power_channels)],
-        z_volt=rows[:, list(config.voltage_channels)],
-        targets=dataset.x[t0:t_end + 1],
+        z_power=rows[..., list(config.power_channels)],
+        z_volt=rows[..., list(config.voltage_channels)],
+        targets=dataset.x[steps],
     )
 
 
@@ -451,9 +444,8 @@ def _window_ends(dataset, config):
 
 def _epoch_pass(model, dataset, ends, masks, config, optimizer):
     losses = []
-    for t_end in ends:
-        t0 = t_end - config.window + 1
-        window = build_window(dataset, t_end, masks[t0:t_end + 1], config)
+    batch = build_windows(dataset, ends, masks, config)
+    for window in map(Window, batch.z_power, batch.z_volt, batch.targets):
         tape = ad.Tape()
         loss = mse_loss(model.forward_window(tape, window), window.targets)
         if optimizer is not None:
@@ -515,14 +507,12 @@ def predict_series(model, dataset, t_indices, masks):
     """Estimate states at each requested step from its trailing window.
 
     `masks` is a (n_steps, m) missing-indicator array (the evaluation mask);
-    the reported estimate is the last window row.
+    the reported estimate is the last window row. All windows run as one
+    batch; the result is a fresh (len(t_indices), n) array.
     """
-    config = model.config
-    out = np.empty((len(t_indices), dataset.n_states))
-    for i, t_end in enumerate(t_indices):
-        t0 = t_end - config.window + 1
-        if t0 < 0:
+    window = model.config.window
+    for t_end in t_indices:
+        if t_end - window + 1 < 0:
             raise ValueError(f"step {t_end} has no full trailing window")
-        window = build_window(dataset, t_end, masks[t0:t_end + 1], config)
-        out[i] = model.estimate_voltages(window)[-1]
-    return out
+    batch = build_windows(dataset, t_indices, masks, model.config)
+    return model.estimate_voltages(batch)[:, -1].copy()

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -82,6 +83,14 @@ class MeasurementSchema:
     @property
     def names(self):
         return tuple(c.name for c in self.channels)
+
+    @cached_property
+    def weights(self):
+        """Default WLS weights 1/sigma^2, read-only and shared by every problem
+        built on this schema."""
+        weights = 1.0 / self.sigmas**2
+        weights.flags.writeable = False
+        return weights
 
     def with_alpha(self, alpha):
         """Copy of the schema with one uniform missing probability."""

@@ -22,7 +22,7 @@ from .telemetry import measure_many
 COND_LIMIT = 1e12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WlsProblem:
     """One estimation instance: schema-bound measurements plus weights.
 
@@ -40,7 +40,7 @@ class WlsProblem:
     @classmethod
     def from_schema(cls, schema, Y, z, mask=None, weights=None):
         if weights is None:
-            weights = 1.0 / schema.sigmas**2
+            weights = schema.weights
         weights = np.asarray(weights, dtype=float)
         if np.any(weights <= 0):
             raise ValueError("weights must be strictly positive")
@@ -57,7 +57,7 @@ class WlsProblem:
         return len(self.z) / self.n_states
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StateEstimate:
     x: np.ndarray  # [Re(v); Im(v)] over non-slack phase-nodes
     iterations: int
@@ -135,35 +135,32 @@ def drop_missing(problem):
 
 
 def _prepare(problem, x0):
-    """Masked rows dropped and the start point (flat unless x0 is given).
-
-    Raises RankDeficient when fewer rows than states remain.
-    """
+    """Masked rows dropped and the start point (flat unless x0 is given), or a
+    RankDeficient verdict when fewer rows than states remain."""
     problem = drop_missing(problem)
     n = problem.n_states
     if len(problem.z) < n:
-        raise RankDeficient(f"{len(problem.z)} measurements cannot determine {n} states")
-    x = np.array(flat_state(problem.schema.feeder) if x0 is None else x0, dtype=float)
-    return problem, x
+        return RankDeficient(f"{len(problem.z)} measurements cannot determine {n} states")
+    return problem, np.array(flat_state(problem.schema.feeder) if x0 is None else x0,
+                             dtype=float)
 
 
 def _normal_cholesky(J, w, iteration):
-    """Lower Cholesky factor of the normal matrix J'WJ.
-
-    Raises RankDeficient when the condition number, read from the eigenvalues
-    of the symmetric matrix, exceeds COND_LIMIT (a non-positive smallest
-    eigenvalue counts as over it) or when Cholesky fails.
+    """Lower Cholesky factor of the normal matrix J'WJ, or a RankDeficient
+    verdict when the condition number, read from the eigenvalues of the
+    symmetric matrix, exceeds COND_LIMIT (a non-positive smallest eigenvalue
+    counts as over it) or when Cholesky fails.
     """
     A = (J.T * w) @ J
     eig = np.linalg.eigvalsh(A)
     if not (eig[0] > 0 and eig[-1] / eig[0] <= COND_LIMIT):
-        raise RankDeficient(
+        return RankDeficient(
             f"normal matrix condition estimate exceeds {COND_LIMIT:g} at iteration {iteration}"
         )
     try:
         return np.linalg.cholesky(A)
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficient(f"Cholesky failed at iteration {iteration}") from exc
+    except np.linalg.LinAlgError:
+        return RankDeficient(f"Cholesky failed at iteration {iteration}")
 
 
 def estimate_wls(problem, x0=None, tol=1e-8, max_iter=40):
@@ -176,7 +173,20 @@ def estimate_wls(problem, x0=None, tol=1e-8, max_iter=40):
     masked-out unobservable case), NoConvergence when damping cannot find a
     descent step or iterations run out.
     """
-    problem, x = _prepare(problem, x0)
+    outcome = _gauss_newton(problem, x0, tol, max_iter)
+    if isinstance(outcome, StateEstimate):
+        return outcome
+    # Raised here, where the frame holds only the problem: a caller that keeps
+    # the error keeps none of the solver's arrays through its traceback.
+    raise outcome
+
+
+def _gauss_newton(problem, x0, tol, max_iter):
+    """The solve of estimate_wls; returns a StateEstimate or the verdict to raise."""
+    prepared = _prepare(problem, x0)
+    if isinstance(prepared, RankDeficient):
+        return prepared
+    problem, x = prepared
     schema, Y, z, w = problem.schema, problem.Y, problem.z, problem.weights
 
     def residual(xv):
@@ -187,6 +197,8 @@ def estimate_wls(problem, x0=None, tol=1e-8, max_iter=40):
     for iteration in range(1, max_iter + 1):
         J = jacobian(schema, Y, x)
         L = _normal_cholesky(J, w, iteration)
+        if isinstance(L, RankDeficient):
+            return L
         delta = np.linalg.solve(L.T, np.linalg.solve(L, J.T @ (w * r)))
         step = np.max(np.abs(delta))
         if step <= tol:
@@ -203,14 +215,14 @@ def estimate_wls(problem, x0=None, tol=1e-8, max_iter=40):
         else:
             if step <= 10 * tol:
                 return StateEstimate(x=x, iterations=iteration, residual=f, converged=True)
-            raise NoConvergence(
+            return NoConvergence(
                 f"no descent step after 10 halvings at iteration {iteration}",
                 iterations=iteration,
             )
         x, r, f = trial, r_trial, f_trial
 
-    raise NoConvergence(f"Gauss-Newton did not converge in {max_iter} iterations",
-                        iterations=max_iter)
+    return NoConvergence(f"Gauss-Newton did not converge in {max_iter} iterations",
+                         iterations=max_iter)
 
 
 def feasibility_check(problem, x0=None):
@@ -220,9 +232,9 @@ def feasibility_check(problem, x0=None):
     (row count, condition limit, Cholesky) to the Jacobian at x0. Returns
     True when a Gauss-Newton step is well-posed.
     """
-    try:
-        problem, x = _prepare(problem, x0)
-        _normal_cholesky(jacobian(problem.schema, problem.Y, x), problem.weights, iteration=1)
-    except RankDeficient:
+    prepared = _prepare(problem, x0)
+    if isinstance(prepared, RankDeficient):
         return False
-    return True
+    problem, x = prepared
+    L = _normal_cholesky(jacobian(problem.schema, problem.Y, x), problem.weights, iteration=1)
+    return not isinstance(L, RankDeficient)

@@ -72,10 +72,27 @@ def test_criterion_1_autodiff_soundness():
         "concat_lastdim": lambda t: ad.mean_all(ad.concat_lastdim(t, ad.square(t))),
         "slice_lastdim": lambda t: ad.mean_all(ad.slice_lastdim(t, 1, 4)),
         "mean_all": lambda t: ad.mean_all(t),
+        # the fused ops with a batch axis of 2, and 4 heads in 2 groups
+        "linear": lambda t: ad.mean_all(ad.mul(
+            ad.linear(t, t.tape.constant(const["m"]), t.tape.constant(const["b"])),
+            t.tape.constant(const["e3"]))),
+        "attention": lambda t: ad.mean_all(ad.mul(
+            ad.attention(t, *(t.tape.constant(const[k]) for k in ("wq", "wk", "wv", "wo")),
+                         heads=4, groups=2),
+            t.tape.constant(const["e8"]))),
     }
+    # The fused ops draw from their own stream, which leaves the draws of
+    # the other checks as they were.
+    fused = np.random.default_rng(1)
+    const.update(b=fused.normal(size=3), e3=fused.normal(size=(2, 4, 3)),
+                 wq=fused.normal(size=(8, 8)), wk=fused.normal(size=(8, 4)),
+                 wv=fused.normal(size=(8, 4)), wo=fused.normal(size=(8, 8)),
+                 e8=fused.normal(size=(2, 4, 8)))
+    shapes = {"linear": (2, 4, 5), "attention": (2, 4, 8)}
+    assert set(op_cases) == set(ad.OPS)
     worst_op = 0.0
     for name, f in op_cases.items():
-        x = rng.normal(size=(4, 5))
+        x = fused.normal(size=shapes[name]) if name in shapes else rng.normal(size=(4, 5))
         if name == "relu":
             x = np.where(np.abs(x) < 0.05, 0.3, x)
         err = ad.grad_check(f, x, step=1e-5)

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -164,8 +166,26 @@ OP_CASES = {
     "concat_lastdim": lambda t: ad.mean_all(ad.concat_lastdim(t, ad.square(t))),
     "slice_lastdim": lambda t: ad.mean_all(ad.slice_lastdim(t, 1, 3)),
     "mean_all": lambda t: ad.mean_all(t),
+    # the fused ops take a batch axis: x is (2, rows, cols) and (2, rows, 8)
+    "linear": lambda t: ad.mean_all(ad.mul(
+        ad.linear(t, t.tape.constant(_CONST["m"]), t.tape.constant(_CONST["b"])),
+        t.tape.constant(_CONST["e_linear"]))),
+    "attention": lambda t: ad.mean_all(ad.mul(
+        ad.attention(t, *(t.tape.constant(_CONST[k]) for k in ("wq", "wk", "wv", "wo")),
+                     heads=4, groups=2),
+        t.tape.constant(_CONST["e_attention"]))),
 }
 _CONST = {}
+OP_SHAPES = {"linear": lambda rows, cols: (2, rows, cols),
+             "attention": lambda rows, cols: (2, rows, 8)}
+
+# Every argument of a fused op, with a batch axis and groups < heads.
+FUSED_ARGS = {
+    "linear": lambda rng, rows: [rng.normal(size=s) for s in ((2, rows, 5), (5, 3), (3,))],
+    "attention": lambda rng, rows: [rng.normal(size=s) for s in
+                                    ((2, rows, 8), (8, 8), (8, 4), (8, 4), (8, 8))],
+}
+FUSED_KWARGS = {"linear": {}, "attention": {"heads": 4, "groups": 2}}
 
 
 class TestGradCheck:
@@ -174,14 +194,64 @@ class TestGradCheck:
         for trial in range(20):
             rng = np.random.default_rng((101, trial))
             rows, cols = rng.integers(2, 6), rng.integers(3, 7)
-            x = rng.normal(size=(rows, cols))
+            x = rng.normal(size=OP_SHAPES.get(op, lambda r, c: (r, c))(rows, cols))
             # keep relu away from its kink so finite differences stay clean
             if op == "relu":
                 x = np.where(np.abs(x) < 0.05, 0.2, x)
             _CONST["m"] = rng.normal(size=(cols, 3))
             _CONST["e"] = rng.normal(size=(rows, cols))
+            _CONST["b"] = rng.normal(size=3)
+            _CONST["e_linear"] = rng.normal(size=(2, rows, 3))
+            for name, shape in (("wq", (8, 8)), ("wk", (8, 4)), ("wv", (8, 4)), ("wo", (8, 8))):
+                _CONST[name] = rng.normal(size=shape)
+            _CONST["e_attention"] = rng.normal(size=(2, rows, 8))
             err = ad.grad_check(OP_CASES[op], x, step=1e-5)
             assert err < 1e-4, f"{op} trial {trial}: {err}"
+
+    def test_every_op_has_a_backward_and_a_grad_check(self):
+        assert set(ad.OPS) == set(ad._BACKWARD) == set(OP_CASES)
+
+    @pytest.mark.parametrize("op, position", [("linear", k) for k in range(3)]
+                             + [("attention", k) for k in range(5)])
+    def test_fused_op_gradient_of_every_argument(self, op, position):
+        for trial in range(5):
+            rng = np.random.default_rng((202, trial))
+            args = FUSED_ARGS[op](rng, int(rng.integers(1, 6)))
+            out_shape = ad.OPS[op](*map(ad.Tape().constant, args), **FUSED_KWARGS[op]).shape
+            weights = rng.normal(size=out_shape)
+
+            def f(t):
+                inputs = [t if k == position else t.tape.constant(a) for k, a in enumerate(args)]
+                out = ad.OPS[op](*inputs, **FUSED_KWARGS[op])
+                return ad.mean_all(ad.mul(out, t.tape.constant(weights)))
+
+            err = ad.grad_check(f, args[position], step=1e-5)
+            assert err < 1e-4, f"{op} argument {position} trial {trial}: {err}"
+
+    def test_linear_batch_axis_sums_parameter_gradients(self):
+        rng = np.random.default_rng(203)
+        x, e = rng.normal(size=(3, 4, 5)), rng.normal(size=(3, 4, 2))
+        w, b = ad.Parameter("w", rng.normal(size=(5, 2))), ad.Parameter("b", rng.normal(size=2))
+        tape = ad.Tape()
+        out = ad.linear(tape.constant(x), tape.watch(w), tape.watch(b))
+        assert np.array_equal(out.value[1], x[1] @ w.value + b.value)
+        tape.backward(ad.mean_all(ad.mul(out, tape.constant(e))))
+        g = e / e.size
+        assert np.allclose(w.grad, sum(x[i].T @ g[i] for i in range(3)), rtol=1e-13, atol=0)
+        assert np.allclose(b.grad, g.sum(axis=(0, 1)), rtol=1e-13, atol=0)
+
+    def test_fused_shape_checks(self):
+        tape = ad.Tape()
+        x = tape.constant(np.zeros((2, 3, 8)))
+        with pytest.raises(ShapeMismatch):
+            ad.linear(x, tape.constant(np.zeros((7, 2))), tape.constant(np.zeros(2)))
+        with pytest.raises(ShapeMismatch):
+            ad.linear(x, tape.constant(np.zeros((8, 2))), tape.constant(np.zeros(3)))
+        w8, w4 = tape.constant(np.zeros((8, 8))), tape.constant(np.zeros((8, 4)))
+        with pytest.raises(ShapeMismatch):
+            ad.attention(x, w8, w4, w4, w8, heads=3, groups=1)
+        with pytest.raises(ShapeMismatch):
+            ad.attention(x, w8, w4, w4, w8, heads=4, groups=4)
 
     def test_sigmoid_sum_tight(self):
         rng = np.random.default_rng(4)
@@ -209,6 +279,58 @@ class TestGradCheck:
             rng.normal(size=(3, 5)),
         )
         assert err < 1e-10
+
+
+class TestTapeLifetime:
+    def test_finished_tape_is_freed_without_the_cycle_collector(self):
+        p = ad.Parameter("w", np.ones((2, 2)))
+        gc.disable()
+        try:
+            tape = ad.Tape()
+            loss = ad.mean_all(ad.square(ad.mul(tape.watch(p), tape.watch(p))))
+            tape.backward(loss)
+            ref = weakref.ref(tape)
+            del tape, loss
+            assert ref() is None
+        finally:
+            gc.enable()
+
+
+class TestAdam:
+    def test_flat_state_matches_per_parameter_loop_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        shapes = [(3, 4), (4,), (), (2, 2, 3)]
+        init = [rng.normal(size=s) for s in shapes]
+        params = [ad.Parameter(f"p{i}", v.copy()) for i, v in enumerate(init)]
+        adam = ad.AdamState(params)
+        assert all(np.shares_memory(p.value, adam.values) for p in params)
+        beta1, beta2, eps, lr = 0.9, 0.999, 1e-8, 3e-3
+        values = [v.copy() for v in init]
+        m = [np.zeros_like(v) for v in init]
+        v2 = [np.zeros_like(v) for v in init]
+        for t in range(1, 6):
+            grads = [rng.normal(size=s) for s in shapes]
+            for p, g in zip(params, grads):
+                p.grad = g.copy()
+            adam.step(lr)
+            # the per-parameter reference update
+            b1t, b2t = 1.0 - beta1**t, 1.0 - beta2**t
+            for i, g in enumerate(grads):
+                m[i] = beta1 * m[i] + (1 - beta1) * g
+                v2[i] = beta2 * v2[i] + (1 - beta2) * g * g
+                values[i] -= lr * (m[i] / b1t) / (np.sqrt(v2[i] / b2t) + eps)
+            for p, ref in zip(params, values):
+                assert p.grad is None
+                assert p.value.shape == ref.shape
+                assert np.array_equal(p.value, ref)
+
+    def test_missing_gradient_changes_nothing(self):
+        params = [ad.Parameter("a", np.ones(2)), ad.Parameter("b", np.ones(3))]
+        adam = ad.AdamState(params)
+        params[0].grad = np.ones(2)
+        with pytest.raises(MissingGradient):
+            adam.step(0.1)
+        assert np.array_equal(adam.values, np.ones(5)) and adam.t == 0
 
 
 class TestSgd:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gridtwin import bench
 from gridtwin.bench import (
     ExperimentConfig,
     daily_load_profiles,
@@ -9,6 +10,7 @@ from gridtwin.bench import (
     read_timeseries_csv,
     write_summary_csv,
 )
+from gridtwin.model import ConcatBaselineModel, DtModel
 from gridtwin.errors import ConfigError, LengthMismatch
 from gridtwin.metrics import compute_metrics, summarize, wrap_angle
 
@@ -90,6 +92,17 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"bogus": 1})
 
+    def test_unknown_model_key_rejected(self):
+        with pytest.raises(ConfigError, match="heads_per_group"):
+            ExperimentConfig(model={"heads_per_group": 2}).validate()
+
+    def test_window_must_be_shorter_than_steps(self):
+        ExperimentConfig(steps=9, model={"window": 8}).validate()
+        with pytest.raises(ConfigError):
+            ExperimentConfig(steps=8, model={"window": 8}).validate()
+        with pytest.raises(ConfigError):
+            ExperimentConfig(steps=8).validate()  # default window 8
+
 
 class TestProfiles:
     def test_seeded_and_deterministic(self, feeder8):
@@ -168,3 +181,39 @@ class TestReport:
         assert back_steps == steps
         assert back_columns[0][0] == "truth"
         assert np.allclose(back_columns[1][1], columns[1][1], atol=0)
+
+
+class TestSweepTimeseries:
+    def test_reuses_first_grid_point_and_matches_fresh_evaluation(self, tmp_path, monkeypatch):
+        config = ExperimentConfig(
+            steps=40, vmag_sigma=0.004, vang_sigma=0.002, alphas=(0.2, 0.0), seeds=(1, 0),
+            wls_failure_seeds=1, output_dir=str(tmp_path / "out"),
+            model={"d": 8, "d_ff": 16, "blocks": 1, "heads": 2, "groups": 1, "window": 4,
+                   "epochs": 1, "seed": 7},
+        )
+        calls = {"evaluate_model": 0, "evaluate_wls": 0}
+        for name in calls:
+            original = getattr(bench, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(bench, name, counted)
+        bench.run_sweep(config)
+        points = len(config.alphas) * len(config.seeds)
+        assert calls == {"evaluate_model": 2 * points, "evaluate_wls": points}
+
+        # The time series written from reused estimates equals one evaluated afresh.
+        out = tmp_path / "out"
+        _, _, dataset = bench.generate_dataset(config)
+        feeder, _ = bench.resolve_feeder(config)
+        alpha, seed = config.alphas[0], config.seeds[0]
+        _, dt, steps = bench.evaluate_model(DtModel.load(out / "checkpoint.json"),
+                                            dataset, alpha, seed)
+        _, ablation, _ = bench.evaluate_model(
+            ConcatBaselineModel.load(out / "checkpoint_ablation.json"), dataset, alpha, seed)
+        _, _, wls, wls_steps = bench.evaluate_wls(feeder, dataset, alpha, seed, 4)
+        fresh = bench.build_timeseries(config, dataset, steps, dt, ablation, wls, wls_steps)
+        bench.write_timeseries_csv(tmp_path / "fresh.csv", fresh[1], fresh[2])
+        assert (tmp_path / "fresh.csv").read_bytes() == (out / "timeseries.csv").read_bytes()

@@ -149,3 +149,23 @@ class TestExitCodes:
         result = run_cli("gen", "--config", str(config_path),
                          "--out", "/dev/null/not-a-dir")
         assert result.returncode == 4
+
+    def test_unknown_model_key_is_exit_2(self, tmp_path):
+        cfg = dict(CONFIG)
+        cfg["output_dir"] = str(tmp_path / "out")
+        cfg["model"] = dict(cfg["model"], dropout=0.1)
+        path = tmp_path / "unknown_key.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        result = run_cli("train", "--config", str(path))
+        assert result.returncode == 2
+        assert "dropout" in result.stderr
+
+    def test_window_not_shorter_than_steps_is_exit_2(self, tmp_path):
+        cfg = dict(CONFIG)
+        cfg["output_dir"] = str(tmp_path / "out")
+        cfg["model"] = dict(cfg["model"], window=40)
+        path = tmp_path / "long_window.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        result = run_cli("sweep", "--config", str(path))
+        assert result.returncode == 2
+        assert "window" in result.stderr

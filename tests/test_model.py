@@ -98,7 +98,55 @@ def brute_force_attention(x, params, heads, groups):
     return merged @ params.wo.value + x
 
 
+def primitive_gqa(x, params, heads, groups):
+    """Per-head attention from primitive tape ops: the reference for the fused op."""
+    d_head = x.shape[1] // heads
+    tape = x.tape
+    q_full = ad.matmul(x, tape.watch(params.wq))
+    wk, wv = tape.watch(params.wk), tape.watch(params.wv)
+    keys, values = [], []
+    for g in range(groups):
+        keys.append(ad.matmul(x, ad.slice_lastdim(wk, g * d_head, (g + 1) * d_head)))
+        values.append(ad.matmul(x, ad.slice_lastdim(wv, g * d_head, (g + 1) * d_head)))
+    merged = None
+    for h in range(heads):
+        g = h // (heads // groups)
+        q = ad.slice_lastdim(q_full, h * d_head, (h + 1) * d_head)
+        scores = ad.scale(ad.matmul(q, ad.transpose(keys[g])), 1.0 / np.sqrt(d_head))
+        head = ad.matmul(ad.row_softmax(scores), values[g])
+        merged = head if merged is None else ad.concat_lastdim(merged, head)
+    return ad.add(ad.matmul(merged, tape.watch(params.wo)), x)
+
+
 class TestGqa:
+    @pytest.mark.parametrize("d, heads, groups", [(8, 4, 2), (8, 4, 1), (8, 4, 4), (32, 4, 2)])
+    def test_fused_matches_per_head_primitive_path(self, d, heads, groups):
+        for trial in range(10):
+            rng = np.random.default_rng((7, d, groups, trial))
+            params = M._gqa("p", d, heads, groups, rng)
+            x = ad.Parameter("x", rng.normal(size=(int(rng.integers(1, 9)), d)))
+            weights = rng.normal(size=x.value.shape)
+            results = []
+            for attention in (M.gqa_attention, primitive_gqa):
+                tape = ad.Tape()
+                out = attention(tape.watch(x), params, heads, groups)
+                tape.backward(ad.mean_all(ad.mul(out, tape.constant(weights))))
+                grads = [p.grad for p in (x, params.wq, params.wk, params.wv, params.wo)]
+                results.append((out.value, grads))
+            (fused, fused_grads), (ref, ref_grads) = results
+            assert np.array_equal(fused, ref)  # same float operations per head
+            for g, r in zip(fused_grads, ref_grads):
+                assert np.max(np.abs(g - r)) <= 1e-12 * max(np.max(np.abs(r)), 1e-300)
+
+    def test_batch_axis_matches_window_by_window(self):
+        rng = np.random.default_rng(12)
+        params = M._gqa("p", 8, 4, 2, rng)
+        x = rng.normal(size=(5, 3, 8))
+        batched = M.gqa_attention(ad.Tape().constant(x), params, 4, 2).value
+        for i in range(5):
+            single = M.gqa_attention(ad.Tape().constant(x[i]), params, 4, 2).value
+            assert np.array_equal(batched[i], single)
+
     def test_single_step_window(self):
         rng = np.random.default_rng(3)
         params = M._gqa("p", 4, 2, 1, rng)
@@ -372,6 +420,25 @@ class TestTrain:
         assert baseline.param_count() > 0
         dt = M.DtModel(cfg)
         assert dt.param_count() != baseline.param_count()
+
+    @pytest.mark.parametrize("kind", [M.DtModel, M.ConcatBaselineModel])
+    def test_batched_predict_series_equals_per_step_calls(self, small_dataset, kind):
+        cfg = dataset_config(small_dataset, groups=2, heads=2)
+        model = kind(cfg)
+        steps = list(range(cfg.window - 1, small_dataset.n_steps))
+        masks = np.random.default_rng(31).random(
+            (small_dataset.n_steps, small_dataset.n_channels)) < 0.3
+        batched = M.predict_series(model, small_dataset, steps, masks)
+        assert batched.flags.owndata
+        for i, t in enumerate(steps):
+            single = M.predict_series(model, small_dataset, [t], masks)
+            assert np.array_equal(batched[i], single[0])
+
+    def test_predict_series_needs_a_full_window(self, small_dataset):
+        cfg = dataset_config(small_dataset)
+        masks = np.zeros((small_dataset.n_steps, small_dataset.n_channels), dtype=bool)
+        with pytest.raises(ValueError, match="step 2"):
+            M.predict_series(M.DtModel(cfg), small_dataset, [5, 2], masks)
 
     def test_predict_series_shape_and_finiteness(self, small_dataset):
         cfg = dataset_config(small_dataset, epochs=1)

@@ -212,6 +212,50 @@ class TestDropMissing:
         assert failures / 100 > 0.5
 
 
+def _raised_verdict(problem, **kwargs):
+    try:
+        estimate_wls(problem, **kwargs)
+    except (RankDeficient, NoConvergence) as exc:
+        return exc
+    raise AssertionError("estimate_wls returned a state")
+
+
+class TestRaisedVerdicts:
+    """A raised verdict holds none of the solver's arrays, so a caller that
+    keeps it (a log of outcomes) keeps no Jacobian or normal matrix alive."""
+
+    def cases(self, schema8, noiseless8):
+        y, z = noiseless8
+        too_few = np.zeros(len(schema8), dtype=bool)
+        too_few[:20] = True
+        yield "too few rows", {}, WlsProblem.from_schema(schema8, y, z, mask=too_few)
+        for seed in range(100):
+            mask = np.random.default_rng((78, seed)).random(len(schema8)) < 0.25
+            problem = WlsProblem.from_schema(schema8, y, z, mask=mask)
+            if (~mask).sum() >= schema8.feeder.n_states and not feasibility_check(problem):
+                yield "ill-conditioned", {}, problem
+                break
+        yield "iteration limit", {"max_iter": 1}, WlsProblem.from_schema(schema8, y, z)
+
+    def test_traceback_frames_hold_only_the_problem_arrays(self, schema8, noiseless8):
+        kinds = []
+        for kind, kwargs, problem in self.cases(schema8, noiseless8):
+            exc = _raised_verdict(problem, **kwargs)
+            assert exc.__cause__ is None and exc.__context__ is None
+            own = {id(a) for a in (problem.Y, problem.z, problem.weights, problem.mask)}
+            tb = exc.__traceback__
+            while tb is not None:
+                for name, value in tb.tb_frame.f_locals.items():
+                    assert not isinstance(value, np.ndarray) or id(value) in own, \
+                        f"{kind}: {tb.tb_frame.f_code.co_name} holds array {name!r}"
+                    assert not isinstance(value, WlsProblem) or value is problem, \
+                        f"{kind}: {tb.tb_frame.f_code.co_name} holds a derived problem"
+                tb = tb.tb_next
+            kinds.append((kind, type(exc).__name__))
+        assert kinds == [("too few rows", "RankDeficient"), ("ill-conditioned", "RankDeficient"),
+                         ("iteration limit", "NoConvergence")]
+
+
 class TestRoundingFloor:
     """A Gauss-Newton step within 10*tol that no halving can make descend ends
     the solve as converged: the objective has reached its rounding floor."""
