@@ -15,9 +15,12 @@ row_softmax take 2-D operands. linear and attention work on the last axes of
 their input, (..., fan_in) and (..., T, d): any leading axes are batch axes,
 and parameter gradients are summed over them.
 
-Every recorded value is checked for NaN and infinity (NonFiniteValue). A
-tape refers to its parameters by record index, so a finished tape is freed
-by reference counting alone.
+Every op output and constant is checked for NaN and infinity
+(NonFiniteValue); parameters are checked where they change (sgd_step,
+AdamState.step, checkpoint load), not at every watch. A tape refers to its
+parameters by record index, so a finished tape is freed by reference
+counting alone. A forward pass that needs no gradient runs on an
+InferenceTape, which runs the same ops and checks but records nothing.
 """
 
 from __future__ import annotations
@@ -57,17 +60,14 @@ class Parameter:
 
 
 class Tensor:
-    """Handle to one node of a tape."""
+    """Value of one node of a tape and its record index (None if unrecorded)."""
 
-    __slots__ = ("tape", "idx")
+    __slots__ = ("tape", "idx", "value")
 
-    def __init__(self, tape, idx):
+    def __init__(self, tape, idx, value):
         self.tape = tape
         self.idx = idx
-
-    @property
-    def value(self):
-        return self.tape.values[self.idx]
+        self.value = value
 
     @property
     def shape(self):
@@ -105,26 +105,26 @@ class Tape:
         self._watched = {}
 
     def _record(self, op, inputs, value, ctx=None, param=None):
-        value = np.asarray(value, dtype=float)
-        if not np.isfinite(value).all():
-            raise NonFiniteValue(f"op {op!r} produced a non-finite value")
+        value = _checked(op, value) if param is None else np.asarray(value, dtype=float)
         self.ops.append(op)
         self.inputs.append(inputs)
         self.values.append(value)
         self.ctx.append(ctx)
         self.params.append(param)
-        return Tensor(self, len(self.ops) - 1)
+        return Tensor(self, len(self.ops) - 1, value)
 
     def constant(self, value):
         """Leaf with no gradient destination."""
         return self._record("leaf", (), value)
 
     def watch(self, param):
-        """Leaf bound to a Parameter; memoized so reuse accumulates properly."""
+        """Leaf bound to a Parameter; memoized so reuse accumulates properly.
+        Unchecked: parameters are checked where they change."""
         key = id(param)
         if key not in self._watched:
             self._watched[key] = self._record("leaf", (), param.value, param=param).idx
-        return Tensor(self, self._watched[key])
+        idx = self._watched[key]
+        return Tensor(self, idx, self.values[idx])
 
     def backward(self, loss):
         """Populate .grad of every watched Parameter with d(loss)/d(param)."""
@@ -144,6 +144,27 @@ class Tape:
                     self.params[i].grad = np.array(g, dtype=float)
                 continue
             _BACKWARD[op](self, i, g, grads)
+
+
+class InferenceTape(Tape):
+    """Forward-only tape: ops compute and check their values as on a Tape,
+    but nothing is recorded (`ops` stays empty) and backward raises."""
+
+    def _record(self, op, inputs, value, ctx=None, param=None):
+        return Tensor(self, None, _checked(op, value))
+
+    def watch(self, param):
+        return Tensor(self, None, param.value)
+
+    def backward(self, loss):
+        raise RuntimeError("an InferenceTape records nothing to differentiate")
+
+
+def _checked(op, value):
+    value = np.asarray(value, dtype=float)
+    if not np.isfinite(value).all():
+        raise NonFiniteValue(f"op {op!r} produced a non-finite value")
+    return value
 
 
 def _accumulate(grads, idx, g):
@@ -491,7 +512,7 @@ def grad_check(f, x, step=1e-5):
     g_ad = p.grad
 
     def eval_at(xv):
-        t = Tape()
+        t = InferenceTape()
         return float(f(t.constant(xv)).value)
 
     g_fd = np.empty_like(x)
@@ -506,8 +527,14 @@ def grad_check(f, x, step=1e-5):
     return float(np.max(np.abs(g_ad - g_fd) / denom))
 
 
+def check_finite(param, when):
+    """NonFiniteValue unless every entry of param.value is finite."""
+    if not np.isfinite(param.value).all():
+        raise NonFiniteValue(f"parameter {param.name!r} is not finite {when}")
+
+
 def sgd_step(params, lr):
-    """Plain SGD update p <- p - lr * grad; clears gradient slots."""
+    """Plain SGD update p <- p - lr * grad; clears gradient slots, checks values."""
     if not lr >= 0:
         raise ValueError("lr must be non-negative")
     params = list(params)
@@ -517,6 +544,7 @@ def sgd_step(params, lr):
     for p in params:
         p.value -= lr * p.grad
         p.grad = None
+        check_finite(p, "after the SGD step")
 
 
 class AdamState:
@@ -572,6 +600,9 @@ class AdamState:
         np.subtract(self.values, a, out=self.values)
         for p in self.params:
             p.grad = None
+        if not np.isfinite(self.values).all():
+            for p in self.params:
+                check_finite(p, "after the Adam step")
 
 
 def uniform_init(name, shape, fan_in, rng):

@@ -80,9 +80,15 @@ class ExperimentConfig:
         unknown = set(self.model) - {f.name for f in fields(ModelConfig)}
         if unknown:
             raise ConfigError(f"unknown model keys: {sorted(unknown)}")
-        window = self.model.get("window", ModelConfig.window)
-        if window >= self.steps:
-            raise ConfigError(f"model window {window} must be shorter than steps {self.steps}")
+        # ModelConfig's own rules; the channel lists stand in for the dataset's.
+        try:
+            model = ModelConfig(**{"power_channels": (0,), "voltage_channels": (1,),
+                                   **self.model})
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"model: {exc}") from None
+        if model.window >= self.steps:
+            raise ConfigError(f"model window {model.window} must be shorter than steps "
+                              f"{self.steps}")
         return self
 
     def to_dict(self):

@@ -19,7 +19,9 @@ On the tape every affine layer is one `linear` op and every attention block
 one fused `attention` op, so a forward pass records 86 ops at the default
 shape (two blocks). Inputs may carry a leading batch axis, (B, T, m):
 predict_series runs all requested windows as one batch, with the same float
-operations per window as a single-window pass.
+operations per window as a single-window pass. Forward passes that need no
+gradient (estimate_voltages, the validation pass of each epoch) run on an
+InferenceTape, which records nothing.
 """
 
 from __future__ import annotations
@@ -315,7 +317,7 @@ class DtModel:
 
     def estimate_voltages(self, window):
         """Forward pass over one window or a batch; returns (..., T, n) estimates."""
-        return self.forward_window(ad.Tape(), window).value
+        return self.forward_window(ad.InferenceTape(), window).value
 
     def save(self, path):
         extra = {"model_kind": "dt", "model_config": _config_dict(self.config)}
@@ -377,7 +379,7 @@ class ConcatBaselineModel:
 
     def estimate_voltages(self, window):
         """Forward pass over one window or a batch; returns (..., T, n) estimates."""
-        return self.forward_window(ad.Tape(), window).value
+        return self.forward_window(ad.InferenceTape(), window).value
 
     def save(self, path):
         extra = {"model_kind": "concat_baseline", "model_config": _config_dict(self.config)}
@@ -419,6 +421,7 @@ def _assign(params, arrays):
         if value.shape != p.value.shape:
             raise ValueError(f"parameter {p.name!r}: shape {value.shape} != {p.value.shape}")
         p.value = value
+        ad.check_finite(p, "in the checkpoint")
 
 
 def build_windows(dataset, t_ends, masks, config):
@@ -448,11 +451,21 @@ def _epoch_pass(model, dataset, ends, masks, config, optimizer):
     for window in map(Window, batch.z_power, batch.z_volt, batch.targets):
         tape = ad.Tape()
         loss = mse_loss(model.forward_window(tape, window), window.targets)
-        if optimizer is not None:
-            tape.backward(loss)
-            optimizer()
+        tape.backward(loss)
+        optimizer()
         losses.append(float(loss.value))
     return float(np.mean(losses)) if losses else float("nan")
+
+
+def batch_loss(model, batch):
+    """Mean over a batch of windows of each window's mse_loss, from one
+    forward pass on an InferenceTape; the float operations per window are
+    those of mse_loss, so the result equals the window-by-window mean."""
+    if not len(batch.targets):
+        return float("nan")
+    tape = ad.InferenceTape()
+    err = ad.square(ad.sub(model.forward_window(tape, batch), tape.constant(batch.targets)))
+    return float(np.mean([window.mean() for window in err.value]))
 
 
 def train_model(model, dataset, config):
@@ -472,6 +485,7 @@ def train_model(model, dataset, config):
         optimizer = lambda: ad.sgd_step(model.parameters(), config.lr)
     val_rng = np.random.default_rng((config.seed, 2))
     val_masks = draw_mask(dataset.schema, val_rng, steps=dataset.n_steps)
+    val_batch = build_windows(dataset, val_ends, val_masks, config)
     history = []
     for epoch in range(1, config.epochs + 1):
         epoch_rng = np.random.default_rng((config.seed, 1, epoch))
@@ -479,8 +493,7 @@ def train_model(model, dataset, config):
         try:
             train_loss = _epoch_pass(model, dataset, train_ends, train_masks, config,
                                      optimizer=optimizer)
-            val_loss = _epoch_pass(model, dataset, val_ends, val_masks, config,
-                                   optimizer=None)
+            val_loss = batch_loss(model, val_batch)
         except NonFiniteValue as exc:
             raise NonFiniteLoss(f"training diverged in epoch {epoch}: {exc}") from exc
         if not np.isfinite(train_loss):

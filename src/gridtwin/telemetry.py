@@ -109,8 +109,14 @@ class MeasurementSchema:
         return self.indices_of(VOLTAGE_KINDS)
 
     def subset(self, keep):
-        """Schema view restricted to the kept channel positions."""
-        return MeasurementSchema((self.channels[i] for i in keep), self.feeder)
+        """Schema view restricted to the kept channel positions; the arrays of
+        this already-validated schema are sliced, not rebuilt."""
+        view = object.__new__(MeasurementSchema)
+        view.channels = tuple(self.channels[i] for i in keep)
+        view.feeder = self.feeder
+        for name in ("node_idx", "sigmas", "alphas", "kind_codes"):
+            setattr(view, name, getattr(self, name)[keep])
+        return view
 
 
 def default_schema(feeder, power_sigma=0.01, vmag_sigma=0.004, vang_sigma=0.002,

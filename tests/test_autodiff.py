@@ -296,6 +296,42 @@ class TestTapeLifetime:
             gc.enable()
 
 
+class TestInferenceTape:
+    @pytest.mark.parametrize("op", sorted(OP_CASES))
+    def test_every_op_gives_the_recording_tapes_value(self, op):
+        rng = np.random.default_rng(301)
+        rows, cols = 4, 5
+        x = rng.normal(size=OP_SHAPES.get(op, lambda r, c: (r, c))(rows, cols))
+        _CONST.update(m=rng.normal(size=(cols, 3)), e=rng.normal(size=(rows, cols)),
+                      b=rng.normal(size=3), e_linear=rng.normal(size=(2, rows, 3)),
+                      wq=rng.normal(size=(8, 8)), wk=rng.normal(size=(8, 4)),
+                      wv=rng.normal(size=(8, 4)), wo=rng.normal(size=(8, 8)),
+                      e_attention=rng.normal(size=(2, rows, 8)))
+        p = ad.Parameter("x", x)
+        recorded = OP_CASES[op](ad.Tape().watch(p)).value
+        tape = ad.InferenceTape()
+        assert np.array_equal(OP_CASES[op](tape.watch(p)).value, recorded)
+        assert tape.ops == [] and tape.values == []
+
+    def test_backward_raises_and_nothing_is_recorded(self):
+        p = ad.Parameter("w", np.ones((2, 2)))
+        tape = ad.InferenceTape()
+        loss = ad.mean_all(ad.square(ad.mul(tape.watch(p), tape.constant(np.ones((2, 2))))))
+        assert float(loss.value) == 1.0 and loss.idx is None
+        with pytest.raises(RuntimeError):
+            tape.backward(loss)
+        assert p.grad is None
+        assert (tape.ops, tape.inputs, tape.values, tape.ctx, tape.params) == ([],) * 5
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_ops_are_still_checked(self):
+        tape = ad.InferenceTape()
+        with pytest.raises(NonFiniteValue):
+            tape.constant(np.array([1.0, np.nan]))
+        with pytest.raises(NonFiniteValue, match="scale"):
+            ad.scale(tape.constant(np.array([1e308])), 10.0)
+
+
 class TestAdam:
     def test_flat_state_matches_per_parameter_loop_bit_for_bit(self):
         rng = np.random.default_rng(8)
@@ -332,6 +368,15 @@ class TestAdam:
             adam.step(0.1)
         assert np.array_equal(adam.values, np.ones(5)) and adam.t == 0
 
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_non_finite_parameter_after_a_step_raises(self):
+        params = [ad.Parameter("a", np.ones(2)), ad.Parameter("b", np.ones(3))]
+        adam = ad.AdamState(params)
+        params[0].grad = np.zeros(2)
+        params[1].grad = np.array([0.0, np.inf, 0.0])
+        with pytest.raises(NonFiniteValue, match="'b'"):
+            adam.step(0.1)
+
 
 class TestSgd:
     def test_arithmetic(self):
@@ -351,6 +396,13 @@ class TestSgd:
         p = ad.Parameter("p", np.array(1.0))
         with pytest.raises(MissingGradient):
             ad.sgd_step([p], lr=0.1)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_non_finite_parameter_after_a_step_raises(self):
+        p = ad.Parameter("p", np.array([1e308, 1.0]))
+        p.grad = np.array([-1e308, 0.0])
+        with pytest.raises(NonFiniteValue, match="'p'"):
+            ad.sgd_step([p], lr=10.0)
 
     def test_quadratic_geometric_decay(self):
         p = ad.Parameter("x", np.array(1.0))

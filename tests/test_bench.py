@@ -96,6 +96,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="heads_per_group"):
             ExperimentConfig(model={"heads_per_group": 2}).validate()
 
+    @pytest.mark.parametrize("model", [{"heads": 3}, {"optimizer": "rmsprop"},
+                                       {"d": 6, "heads": 4}, {"window": 0}])
+    def test_model_config_rules_are_config_errors(self, model):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(model=model).validate()
+
     def test_window_must_be_shorter_than_steps(self):
         ExperimentConfig(steps=9, model={"window": 8}).validate()
         with pytest.raises(ConfigError):

@@ -160,6 +160,17 @@ class TestExitCodes:
         assert result.returncode == 2
         assert "dropout" in result.stderr
 
+    @pytest.mark.parametrize("key, value", [("heads", 3), ("optimizer", "rmsprop")])
+    def test_invalid_model_value_is_exit_2(self, tmp_path, key, value):
+        cfg = dict(CONFIG)
+        cfg["output_dir"] = str(tmp_path / "out")
+        cfg["model"] = dict(cfg["model"], **{key: value})
+        path = tmp_path / "bad_model.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        result = run_cli("train", "--config", str(path))
+        assert result.returncode == 2
+        assert "config error" in result.stderr and "Traceback" not in result.stderr
+
     def test_window_not_shorter_than_steps_is_exit_2(self, tmp_path):
         cfg = dict(CONFIG)
         cfg["output_dir"] = str(tmp_path / "out")

@@ -5,7 +5,7 @@ import pytest
 
 from gridtwin import autodiff as ad
 from gridtwin import model as M
-from gridtwin.errors import NonFiniteLoss
+from gridtwin.errors import NonFiniteLoss, NonFiniteValue
 from gridtwin.telemetry import build_dataset
 
 
@@ -322,6 +322,29 @@ class TestEstimateVoltages:
         assert np.max(np.abs(out - golden)) < 1e-15
 
 
+class TestInferenceTape:
+    @pytest.mark.parametrize("kind", [M.DtModel, M.ConcatBaselineModel])
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_outputs_equal_the_recording_tape_bit_for_bit(self, kind, lead):
+        model = kind(tiny_config(window=4, positional_encoding=True, seed=41))
+        rng = np.random.default_rng(41)
+        window = M.Window(rng.normal(size=(*lead, 4, 3)), rng.normal(size=(*lead, 4, 2)),
+                          np.zeros((*lead, 4, 4)))
+        tape = ad.InferenceTape()
+        out = model.forward_window(tape, window).value
+        assert np.array_equal(out, model.forward_window(ad.Tape(), window).value)
+        assert np.array_equal(model.estimate_voltages(window), out)
+        assert tape.ops == []
+
+    def test_checkpoint_holding_nan_is_rejected(self, tmp_path):
+        model = M.DtModel(tiny_config())
+        model.head1.w.value[0, 1] = np.nan
+        path = tmp_path / "nan.json"
+        model.save(path)
+        with pytest.raises(NonFiniteValue, match="head1.w"):
+            M.DtModel.load(path)
+
+
 class TestEndToEndGradients:
     def test_all_parameters_match_central_differences(self):
         cfg = tiny_config(window=2)
@@ -433,6 +456,20 @@ class TestTrain:
         for i, t in enumerate(steps):
             single = M.predict_series(model, small_dataset, [t], masks)
             assert np.array_equal(batched[i], single[0])
+
+    @pytest.mark.parametrize("kind", [M.DtModel, M.ConcatBaselineModel])
+    def test_batch_loss_equals_window_by_window_mse(self, small_dataset, kind):
+        cfg = dataset_config(small_dataset, groups=2, heads=2)
+        model = kind(cfg)
+        ends = list(range(cfg.window - 1, small_dataset.n_steps))
+        masks = np.random.default_rng(32).random(
+            (small_dataset.n_steps, small_dataset.n_channels)) < 0.3
+        batch = M.build_windows(small_dataset, ends, masks, cfg)
+        reference = []
+        for window in map(M.Window, batch.z_power, batch.z_volt, batch.targets):
+            loss = M.mse_loss(model.forward_window(ad.Tape(), window), window.targets)
+            reference.append(float(loss.value))
+        assert M.batch_loss(model, batch) == float(np.mean(reference))
 
     def test_predict_series_needs_a_full_window(self, small_dataset):
         cfg = dataset_config(small_dataset)

@@ -50,6 +50,17 @@ class TestSchema:
         assert len(set(names)) == len(names)
 
 
+    def test_subset_slices_the_arrays_of_a_rebuilt_schema(self, schema8):
+        keep = np.flatnonzero(np.random.default_rng(3).random(len(schema8)) < 0.6)
+        view = schema8.subset(keep)
+        rebuilt = MeasurementSchema([schema8[i] for i in keep], schema8.feeder)
+        assert view.channels == rebuilt.channels and view.feeder is rebuilt.feeder
+        for name in ("node_idx", "sigmas", "alphas", "kind_codes", "weights"):
+            assert np.array_equal(getattr(view, name), getattr(rebuilt, name))
+            assert getattr(view, name).dtype == getattr(rebuilt, name).dtype
+        assert len(schema8.subset([])) == 0
+
+
 class TestMeasure:
     def test_slack_magnitude(self, feeder2):
         feeder, _ = feeder2
