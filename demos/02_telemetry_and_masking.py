@@ -9,10 +9,10 @@ import numpy as np
 
 from gridtwin import (
     admittance_matrix,
-    apply_mask,
     build_dataset,
     daily_load_profiles,
     default_schema,
+    draw_mask,
     fixture_path,
     load_fixture,
     measure,
@@ -45,13 +45,12 @@ print(f"normalized train split: mean {np.max(np.abs(z_norm.mean(axis=0))):.1e}, 
 
 # masking a normalized row: missing slots become exactly zero
 row = dataset.normalize(dataset.z[0])
-masked, mask = apply_mask(row, schema.with_alpha(0.3), rng_seed=7)
+mask = draw_mask(schema.with_alpha(0.3), np.random.default_rng(7))
+masked = np.where(mask, 0.0, row)
 print(f"\nmasking at alpha=0.3: {mask.sum()} of {len(mask)} channels dropped")
 print("masked entries all zero:", bool(np.all(masked[mask] == 0.0)))
 
 # empirical mask rate over many draws approaches alpha
-rates = []
-for seed in range(200):
-    _, m = apply_mask(row, schema.with_alpha(0.3), rng_seed=(1, seed))
-    rates.append(m.mean())
+rates = [draw_mask(schema.with_alpha(0.3), np.random.default_rng((1, seed))).mean()
+         for seed in range(200)]
 print(f"empirical mask rate over 200 draws: {np.mean(rates):.4f} (target 0.3)")

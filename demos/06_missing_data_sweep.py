@@ -28,7 +28,7 @@ config = ExperimentConfig.from_dict({
     "output_dir": "runs/demo_sweep",
 })
 
-rows = run_sweep(config, jobs=1, progress=print)
+rows = run_sweep(config, progress=print)
 
 print("\nmean error vs missing ratio:")
 print(f"{'method':10s} {'alpha':>6s} {'mae_mag [p.u.]':>15s} {'mae_ang [rad]':>14s}")

@@ -51,9 +51,9 @@ from .telemetry import (
     Dataset,
     MeasurementSchema,
     add_noise,
-    apply_mask,
     build_dataset,
     default_schema,
+    draw_mask,
     export_csv,
     import_csv,
     measure,

@@ -47,13 +47,12 @@ class Parameter:
     clears it.
     """
 
-    __slots__ = ("name", "value", "grad", "init_info")
+    __slots__ = ("name", "value", "grad")
 
-    def __init__(self, name, value, init_info=None):
+    def __init__(self, name, value):
         self.name = name
         self.value = np.asarray(value, dtype=float)
         self.grad = None
-        self.init_info = init_info or {}
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.value.shape})"
@@ -609,11 +608,11 @@ def uniform_init(name, shape, fan_in, rng):
     """Weight init: uniform(-sqrt(1/fan_in), +sqrt(1/fan_in))."""
     bound = float(np.sqrt(1.0 / fan_in))
     value = rng.uniform(-bound, bound, size=shape)
-    return Parameter(name, value, init_info={"dist": "uniform", "bound": bound})
+    return Parameter(name, value)
 
 
 def zeros_init(name, shape):
-    return Parameter(name, np.zeros(shape), init_info={"dist": "zeros"})
+    return Parameter(name, np.zeros(shape))
 
 
 def save_params(path, params, extra=None):

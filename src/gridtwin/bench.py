@@ -5,15 +5,19 @@ time series on a fixture feeder, train the two-branch model once at the
 training missing ratio, then evaluate the trained model, the concatenation
 baseline, and the classical WLS solver across a grid of evaluation missing
 ratios and seeds. Results land in long-format metrics.csv plus summary.csv
-and SVG plots. With fixed seeds and --jobs 1 the metrics.csv bytes are
-reproducible run to run.
+and SVG plots.
+
+`sweep`, `eval` and `wls` all walk their grid through `evaluate_grid`: its
+tasks run one after another in grid order, and each task's rows, built by
+`metric_rows`, are appended to metrics.csv and flushed as soon as the task
+ends, so a partial file survives an abort. With fixed seeds the metrics.csv
+bytes are reproducible run to run.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -124,38 +128,44 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw):
-        raw = dict(raw or {})
-        version = raw.pop("format_version", CONFIG_FORMAT_VERSION)
-        if version != CONFIG_FORMAT_VERSION:
-            raise ConfigError(f"unsupported config format_version {version!r}")
-        profile = raw.pop("profile", {}) or {}
-        schema = raw.pop("schema", {}) or {}
-        evaluation = raw.pop("evaluation", {}) or {}
-        known = {
-            "feeder": raw.pop("feeder", cls.feeder),
-            "steps": int(raw.pop("steps", cls.steps)),
-            "train_fraction": float(raw.pop("train_fraction", cls.train_fraction)),
-            "profile_seed": int(profile.get("seed", cls.profile_seed)),
-            "day_steps": int(profile.get("day_steps", cls.day_steps)),
-            "amplitude": float(profile.get("amplitude", cls.amplitude)),
-            "jitter": float(profile.get("jitter", cls.jitter)),
-            "noise_seed": int(raw.pop("noise_seed", cls.noise_seed)),
-            "power_sigma": float(schema.get("power_sigma", cls.power_sigma)),
-            "vmag_sigma": float(schema.get("vmag_sigma", cls.vmag_sigma)),
-            "vang_sigma": float(schema.get("vang_sigma", cls.vang_sigma)),
-            "train_alpha": float(schema.get("train_alpha", cls.train_alpha)),
-            "vmag_buses": tuple(schema.get("vmag_buses", cls.vmag_buses)),
-            "vang_nodes": tuple(schema.get("vang_nodes", cls.vang_nodes)),
-            "model": dict(raw.pop("model", {}) or {}),
-            "alphas": tuple(float(a) for a in evaluation.get("alphas", cls.alphas)),
-            "seeds": tuple(int(s) for s in evaluation.get("seeds", cls.seeds)),
-            "wls_failure_seeds": int(evaluation.get("wls_failure_seeds", cls.wls_failure_seeds)),
-            "timeseries_node": str(evaluation.get("timeseries_node", cls.timeseries_node)),
-            "output_dir": str(raw.pop("output_dir", cls.output_dir)),
-        }
+        try:
+            raw = dict(raw or {})
+            version = raw.pop("format_version", CONFIG_FORMAT_VERSION)
+            if version != CONFIG_FORMAT_VERSION:
+                raise ConfigError(f"unsupported config format_version {version!r}")
+            profile = dict(raw.pop("profile", {}) or {})
+            schema = dict(raw.pop("schema", {}) or {})
+            evaluation = dict(raw.pop("evaluation", {}) or {})
+            known = {
+                "feeder": raw.pop("feeder", cls.feeder),
+                "steps": int(raw.pop("steps", cls.steps)),
+                "train_fraction": float(raw.pop("train_fraction", cls.train_fraction)),
+                "profile_seed": int(profile.pop("seed", cls.profile_seed)),
+                "day_steps": int(profile.pop("day_steps", cls.day_steps)),
+                "amplitude": float(profile.pop("amplitude", cls.amplitude)),
+                "jitter": float(profile.pop("jitter", cls.jitter)),
+                "noise_seed": int(raw.pop("noise_seed", cls.noise_seed)),
+                "power_sigma": float(schema.pop("power_sigma", cls.power_sigma)),
+                "vmag_sigma": float(schema.pop("vmag_sigma", cls.vmag_sigma)),
+                "vang_sigma": float(schema.pop("vang_sigma", cls.vang_sigma)),
+                "train_alpha": float(schema.pop("train_alpha", cls.train_alpha)),
+                "vmag_buses": tuple(schema.pop("vmag_buses", cls.vmag_buses)),
+                "vang_nodes": tuple(schema.pop("vang_nodes", cls.vang_nodes)),
+                "model": dict(raw.pop("model", {}) or {}),
+                "alphas": tuple(float(a) for a in evaluation.pop("alphas", cls.alphas)),
+                "seeds": tuple(int(s) for s in evaluation.pop("seeds", cls.seeds)),
+                "wls_failure_seeds": int(evaluation.pop("wls_failure_seeds",
+                                                        cls.wls_failure_seeds)),
+                "timeseries_node": str(evaluation.pop("timeseries_node", cls.timeseries_node)),
+                "output_dir": str(raw.pop("output_dir", cls.output_dir)),
+            }
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"unparseable config value: {exc}") from None
         raw.pop("name", None)
-        if raw:
-            raise ConfigError(f"unknown config keys: {sorted(raw)}")
+        for section, rest in (("config", raw), ("profile", profile), ("schema", schema),
+                              ("evaluation", evaluation)):
+            if rest:
+                raise ConfigError(f"unknown {section} keys: {sorted(map(str, rest))}")
         return cls(**known).validate()
 
     @classmethod
@@ -264,61 +274,91 @@ def evaluate_model(model, dataset, alpha, seed):
     return compute_metrics(x_hat, dataset.x[steps]), x_hat, steps
 
 
-def evaluate_wls(feeder, dataset, alpha, seed, window):
-    """Per-step WLS with masked rows dropped; failures counted, not scored."""
+def _masked_problems(feeder, dataset, alpha, seed, window):
+    """(step, masked WlsProblem) for every evaluation step at one (alpha, seed)."""
     Y = admittance_matrix(feeder)
     masks = eval_mask(dataset, alpha, seed)
-    steps = eval_steps(dataset, window)
+    return [(t, WlsProblem.from_schema(dataset.schema, Y, dataset.z[t], mask=masks[t]))
+            for t in eval_steps(dataset, window)]
+
+
+def evaluate_wls(feeder, dataset, alpha, seed, window):
+    """Per-step WLS with masked rows dropped; failures counted, not scored."""
+    problems = _masked_problems(feeder, dataset, alpha, seed, window)
     estimates, solved_steps = [], []
     rank_deficient = 0
-    no_convergence = 0
-    for t in steps:
-        problem = WlsProblem.from_schema(dataset.schema, Y, dataset.z[t], mask=masks[t])
+    for t, problem in problems:
         try:
             est = estimate_wls(problem)
         except RankDeficient:
             rank_deficient += 1
-            continue
         except NoConvergence:
-            no_convergence += 1
-            continue
-        estimates.append(est.x)
-        solved_steps.append(t)
+            pass
+        else:
+            estimates.append(est.x)
+            solved_steps.append(t)
     result = {
-        "rank_deficient_fraction": rank_deficient / len(steps),
-        "feasible_fraction": len(solved_steps) / len(steps),
+        "feasible_fraction": len(solved_steps) / len(problems),
+        "rank_deficient_fraction": rank_deficient / len(problems),
     }
-    metrics = None
-    if solved_steps:
-        metrics = compute_metrics(np.array(estimates), dataset.x[solved_steps])
-    return metrics, result, np.array(estimates), solved_steps
+    estimates = np.array(estimates)
+    metrics = compute_metrics(estimates, dataset.x[solved_steps]) if solved_steps else None
+    return metrics, result, estimates, solved_steps
 
 
 def wls_failure_fraction(feeder, dataset, alpha, seed, window):
     """Fraction of evaluation steps where the masked WLS problem is rank
     deficient at flat start (cheap observability probe)."""
-    Y = admittance_matrix(feeder)
-    masks = eval_mask(dataset, alpha, seed)
-    steps = eval_steps(dataset, window)
-    failures = 0
-    for t in steps:
-        problem = WlsProblem.from_schema(dataset.schema, Y, dataset.z[t], mask=masks[t])
-        if not feasibility_check(problem):
-            failures += 1
-    return failures / len(steps)
+    failed = [not feasibility_check(problem)
+              for _, problem in _masked_problems(feeder, dataset, alpha, seed, window)]
+    return sum(failed) / len(failed)
+
+
+def metric_rows(method, alpha, seed, metrics):
+    """Long-format metrics.csv rows of one method at one grid point."""
+    return [{"method": method, "alpha": alpha, "seed": seed, "metric": metric, "value": value}
+            for metric, value in metrics.items()]
+
+
+def evaluate_grid(path, tasks, log=None):
+    """Run (fn, alpha, seed) tasks in order, where fn(alpha, seed) returns
+    metric rows, and stream each task's rows to the metrics.csv at `path`,
+    flushed after every task. Returns all rows."""
+    all_rows = []
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(METRICS_HEADER)
+        fh.flush()
+        for fn, alpha, seed in tasks:
+            rows = fn(alpha, seed)
+            if log is not None:
+                log(f"evaluated {fn.__name__} at alpha={alpha:g} seed={seed}")
+            writer.writerows(map(_metrics_record, rows))
+            fh.flush()
+            all_rows.extend(rows)
+    return all_rows
 
 
 def _fmt(value):
     return repr(float(value))
 
 
-def write_metrics_csv(path, rows):
+METRICS_HEADER = ["method", "alpha", "seed", "metric", "value"]
+
+
+def _metrics_record(row):
+    return [row["method"], _fmt(row["alpha"]), row["seed"], row["metric"], _fmt(row["value"])]
+
+
+def _write_csv(path, header, records):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["method", "alpha", "seed", "metric", "value"])
-        for row in rows:
-            writer.writerow([row["method"], _fmt(row["alpha"]), row["seed"],
-                             row["metric"], _fmt(row["value"])])
+        writer.writerow(header)
+        writer.writerows(records)
+
+
+def write_metrics_csv(path, rows):
+    _write_csv(path, METRICS_HEADER, map(_metrics_record, rows))
 
 
 def read_metrics_csv(path):
@@ -338,21 +378,15 @@ def read_metrics_csv(path):
 
 def write_summary_csv(path, rows):
     summary = summarize(rows)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "alpha", "metric", "min", "mean", "max"])
-        for rec in summary:
-            writer.writerow([rec["method"], _fmt(rec["alpha"]), rec["metric"],
-                             _fmt(rec["min"]), _fmt(rec["mean"]), _fmt(rec["max"])])
+    _write_csv(path, ["method", "alpha", "metric", "min", "mean", "max"],
+               ([rec["method"], _fmt(rec["alpha"]), rec["metric"],
+                 _fmt(rec["min"]), _fmt(rec["mean"]), _fmt(rec["max"])] for rec in summary))
     return summary
 
 
 def write_timeseries_csv(path, steps, columns):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step"] + [label for label, _ in columns])
-        for i, t in enumerate(steps):
-            writer.writerow([t] + [_fmt(values[i]) for _, values in columns])
+    _write_csv(path, ["step"] + [label for label, _ in columns],
+               ([t] + [_fmt(values[i]) for _, values in columns] for i, t in enumerate(steps)))
 
 
 def read_timeseries_csv(path):
@@ -419,17 +453,13 @@ def _node_column(dataset, node_label):
     return dataset.state_labels.index(label)
 
 
-def _magnitudes_at(dataset, x_rows, col):
-    mags, _ = states_to_polar(x_rows)
-    return mags[:, col]
-
-
-def run_sweep(config, jobs=1, progress=None):
+def run_sweep(config, progress=None):
     """Full protocol: generate, train both models, evaluate the grid, report.
 
-    Evaluation points run through an ordered executor map, so results are
-    written (and flushed) in deterministic order as they complete; a partial
-    metrics.csv survives an abort.
+    The grid is every (alpha, seed) point, scoring the DT model, the
+    ablation and WLS, then the rank-deficiency probe over
+    `wls_failure_seeds`; it runs serially through `evaluate_grid`, so
+    metrics.csv is written in grid order and a partial file survives an abort.
     """
     config.validate()
     out = Path(config.output_dir)
@@ -460,72 +490,31 @@ def run_sweep(config, jobs=1, progress=None):
             "steps": dataset.n_steps,
         }, fh, indent=2)
 
-    tasks = []
-    for alpha in config.alphas:
-        for seed in config.seeds:
-            tasks.append(("point", alpha, seed))
-    for alpha in config.alphas:
-        for seed in range(config.wls_failure_seeds):
-            tasks.append(("wls_rank", alpha, seed))
-
+    window = mcfg.window
     # The estimates of the first grid point feed the time-series plot.
     tracked = {}
 
-    def run_task(task):
-        kind, alpha, seed = task
-        rows = []
-        if kind == "point":
-            dt_metrics, dt_xhat, steps = evaluate_model(dt_model, dataset, alpha, seed)
-            for metric, value in dt_metrics.items():
-                rows.append({"method": METHOD_DT, "alpha": alpha, "seed": seed,
-                             "metric": metric, "value": value})
-            ab_metrics, ab_xhat, _ = evaluate_model(ab_model, dataset, alpha, seed)
-            for metric, value in ab_metrics.items():
-                rows.append({"method": METHOD_ABLATION, "alpha": alpha, "seed": seed,
-                             "metric": metric, "value": value})
-            wls_metrics, counts, wls_est, wls_steps = evaluate_wls(feeder, dataset, alpha, seed,
-                                                                   mcfg.window)
-            if task == tasks[0]:
-                tracked.update(steps=steps, dt=dt_xhat, ablation=ab_xhat, wls=wls_est,
-                               wls_steps=wls_steps)
-            if wls_metrics:
-                for metric, value in wls_metrics.items():
-                    rows.append({"method": METHOD_WLS, "alpha": alpha, "seed": seed,
-                                 "metric": metric, "value": value})
-            rows.append({"method": METHOD_WLS, "alpha": alpha, "seed": seed,
-                         "metric": "feasible_fraction", "value": counts["feasible_fraction"]})
-        else:
-            fraction = wls_failure_fraction(feeder, dataset, alpha, seed, mcfg.window)
-            rows.append({"method": METHOD_WLS, "alpha": alpha, "seed": seed,
-                         "metric": "rank_deficient_fraction", "value": fraction})
-        return rows
+    def point(alpha, seed):
+        dt_metrics, dt_xhat, steps = evaluate_model(dt_model, dataset, alpha, seed)
+        ab_metrics, ab_xhat, _ = evaluate_model(ab_model, dataset, alpha, seed)
+        wls_metrics, counts, wls_est, wls_steps = evaluate_wls(feeder, dataset, alpha, seed,
+                                                               window)
+        if not tracked:
+            tracked.update(steps=steps, dt=dt_xhat, ablation=ab_xhat, wls=wls_est,
+                           wls_steps=wls_steps)
+        wls_metrics = {**(wls_metrics or {}), "feasible_fraction": counts["feasible_fraction"]}
+        return (metric_rows(METHOD_DT, alpha, seed, dt_metrics)
+                + metric_rows(METHOD_ABLATION, alpha, seed, ab_metrics)
+                + metric_rows(METHOD_WLS, alpha, seed, wls_metrics))
 
-    all_rows = []
-    metrics_path = out / "metrics.csv"
-    with open(metrics_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "alpha", "seed", "metric", "value"])
-        fh.flush()
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = pool.map(run_task, tasks)
-                for task, rows in zip(tasks, results):
-                    log(f"evaluated {task}")
-                    for row in rows:
-                        writer.writerow([row["method"], _fmt(row["alpha"]), row["seed"],
-                                         row["metric"], _fmt(row["value"])])
-                    fh.flush()
-                    all_rows.extend(rows)
-        else:
-            for task in tasks:
-                rows = run_task(task)
-                log(f"evaluated {task}")
-                for row in rows:
-                    writer.writerow([row["method"], _fmt(row["alpha"]), row["seed"],
-                                     row["metric"], _fmt(row["value"])])
-                fh.flush()
-                all_rows.extend(rows)
+    def rank_probe(alpha, seed):
+        fraction = wls_failure_fraction(feeder, dataset, alpha, seed, window)
+        return metric_rows(METHOD_WLS, alpha, seed, {"rank_deficient_fraction": fraction})
 
+    tasks = [(point, alpha, seed) for alpha in config.alphas for seed in config.seeds]
+    tasks += [(rank_probe, alpha, seed)
+              for alpha in config.alphas for seed in range(config.wls_failure_seeds)]
+    all_rows = evaluate_grid(out / "metrics.csv", tasks, log)
     timeseries = build_timeseries(config, dataset, **tracked)
     emit_report(all_rows, out, timeseries=timeseries)
     return all_rows
@@ -536,22 +525,17 @@ def build_timeseries(config, dataset, steps, dt, ablation, wls, wls_steps):
     estimates of the first grid point (alphas[0], seeds[0]) over `steps`; the
     WLS track is drawn only when every step solved."""
     col = _node_column(dataset, config.timeseries_node)
-    columns = [
-        ("truth", _magnitudes_at(dataset, dataset.x[steps], col).tolist()),
-        (METHOD_DT, _magnitudes_at(dataset, dt, col).tolist()),
-        (METHOD_ABLATION, _magnitudes_at(dataset, ablation, col).tolist()),
-    ]
+    tracks = [("truth", dataset.x[steps]), (METHOD_DT, dt), (METHOD_ABLATION, ablation)]
     if len(wls_steps) == len(steps):
-        columns.append((METHOD_WLS, _magnitudes_at(dataset, wls, col).tolist()))
+        tracks.append((METHOD_WLS, wls))
+    columns = [(label, states_to_polar(x)[0][:, col].tolist()) for label, x in tracks]
     return (config.timeseries_node, steps, columns)
 
 
 def write_history_csv(path, history):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "val_loss"])
-        for rec in history:
-            writer.writerow([rec["epoch"], _fmt(rec["train_loss"]), _fmt(rec["val_loss"])])
+    _write_csv(path, ["epoch", "train_loss", "val_loss"],
+               ([rec["epoch"], _fmt(rec["train_loss"]), _fmt(rec["val_loss"])]
+                for rec in history))
 
 
 def load_dataset_for(config, measurements=None, states=None):

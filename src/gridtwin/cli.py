@@ -15,9 +15,11 @@ from .bench import (
     METHOD_DT,
     METHOD_WLS,
     ExperimentConfig,
+    evaluate_grid,
     evaluate_model,
     evaluate_wls,
     load_dataset_for,
+    metric_rows,
     model_config,
     read_metrics_csv,
     read_timeseries_csv,
@@ -133,17 +135,14 @@ def cmd_eval(args):
     if not Path(checkpoint).exists():
         raise ConfigError(f"checkpoint not found: {checkpoint}")
     model = _load_model(checkpoint)
-    rows = []
-    for alpha in config.alphas:
-        for seed in config.seeds:
-            metrics, _, _ = evaluate_model(model, dataset, alpha, seed)
-            for metric, value in metrics.items():
-                rows.append({"method": METHOD_DT, "alpha": alpha, "seed": seed,
-                             "metric": metric, "value": value})
-            print(f"alpha={alpha:g} seed={seed}: " +
-                  " ".join(f"{k}={v:.6g}" for k, v in metrics.items()))
-    write_metrics_csv(out / "metrics.csv", rows)
-    write_summary_csv(out / "summary.csv", rows)
+
+    def point(alpha, seed):
+        metrics, _, _ = evaluate_model(model, dataset, alpha, seed)
+        print(f"alpha={alpha:g} seed={seed}: " +
+              " ".join(f"{k}={v:.6g}" for k, v in metrics.items()))
+        return metric_rows(METHOD_DT, alpha, seed, metrics)
+
+    _evaluate_grid(config, out, point)
     return EXIT_OK
 
 
@@ -152,28 +151,28 @@ def cmd_wls(args):
     out = _out_dir(config)
     feeder, _, dataset = load_dataset_for(config, args.measurements, args.states)
     window = model_config(config, dataset).window
-    rows = []
-    for alpha in config.alphas:
-        for seed in config.seeds:
-            metrics, counts, _, _ = evaluate_wls(feeder, dataset, alpha, seed, window)
-            if metrics:
-                for metric, value in metrics.items():
-                    rows.append({"method": METHOD_WLS, "alpha": alpha, "seed": seed,
-                                 "metric": metric, "value": value})
-            for metric in ("feasible_fraction", "rank_deficient_fraction"):
-                rows.append({"method": METHOD_WLS, "alpha": alpha, "seed": seed,
-                             "metric": metric, "value": counts[metric]})
-            shown = metrics or {}
-            print(f"alpha={alpha:g} seed={seed}: feasible={counts['feasible_fraction']:.2f} " +
-                  " ".join(f"{k}={v:.6g}" for k, v in shown.items()))
-    write_metrics_csv(out / "metrics.csv", rows)
-    write_summary_csv(out / "summary.csv", rows)
+
+    def point(alpha, seed):
+        metrics, counts, _, _ = evaluate_wls(feeder, dataset, alpha, seed, window)
+        shown = metrics or {}
+        print(f"alpha={alpha:g} seed={seed}: feasible={counts['feasible_fraction']:.2f} " +
+              " ".join(f"{k}={v:.6g}" for k, v in shown.items()))
+        return metric_rows(METHOD_WLS, alpha, seed, {**shown, **counts})
+
+    _evaluate_grid(config, out, point)
     return EXIT_OK
+
+
+def _evaluate_grid(config, out, point):
+    """metrics.csv and summary.csv of `point` over the configured alphas x seeds."""
+    tasks = [(point, alpha, seed) for alpha in config.alphas for seed in config.seeds]
+    rows = evaluate_grid(out / "metrics.csv", tasks)
+    write_summary_csv(out / "summary.csv", rows)
 
 
 def cmd_sweep(args):
     config = _load_config(args)
-    run_sweep(config, jobs=args.jobs, progress=print if args.verbose else None)
+    run_sweep(config, progress=print if args.verbose else None)
     print(f"sweep complete; report in {config.output_dir}")
     return EXIT_OK
 
@@ -230,8 +229,9 @@ def build_parser():
 
     p = sub.add_parser("sweep", help="full protocol: gen + train + evaluate grid + report")
     _add_common(p)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="evaluation workers; 1 guarantees byte-identical output")
+    # The grid runs serially; --jobs stays for existing scripts and takes only 1.
+    p.add_argument("--jobs", type=int, default=1, choices=[1],
+                   help="evaluation workers; only 1 (serial) is supported")
     p.add_argument("--verbose", action="store_true", help="print progress")
     p.set_defaults(func=cmd_sweep)
 

@@ -26,7 +26,7 @@ InferenceTape, which records nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -283,12 +283,9 @@ class DtModel:
         def collect(obj):
             if isinstance(obj, ad.Parameter):
                 params.append(obj)
-            elif isinstance(obj, (LinearParams, GqaParams, GateParams)):
-                for name in obj.__dataclass_fields__:
-                    collect(getattr(obj, name))
-            elif isinstance(obj, (BranchBlockParams, FusionBlockParams)):
-                for name in obj.__dataclass_fields__:
-                    collect(getattr(obj, name))
+            elif is_dataclass(obj):
+                for f in fields(obj):
+                    collect(getattr(obj, f.name))
 
         for item in (self.proj1, self.proj2, *self.blocks, self.out1, self.out2,
                      self.head1, self.head2):
@@ -320,7 +317,7 @@ class DtModel:
         return self.forward_window(ad.InferenceTape(), window).value
 
     def save(self, path):
-        extra = {"model_kind": "dt", "model_config": _config_dict(self.config)}
+        extra = {"model_kind": "dt", "model_config": asdict(self.config)}
         ad.save_params(path, self.parameters(), extra=extra)
 
     @classmethod
@@ -382,7 +379,7 @@ class ConcatBaselineModel:
         return self.forward_window(ad.InferenceTape(), window).value
 
     def save(self, path):
-        extra = {"model_kind": "concat_baseline", "model_config": _config_dict(self.config)}
+        extra = {"model_kind": "concat_baseline", "model_config": asdict(self.config)}
         ad.save_params(path, self.parameters(), extra=extra)
 
     @classmethod
@@ -391,19 +388,6 @@ class ConcatBaselineModel:
         model = cls(_config_from_dict(extra["model_config"]))
         _assign(model.parameters(), arrays)
         return model
-
-
-def _config_dict(config):
-    return {
-        "d": config.d, "d_ff": config.d_ff, "blocks": config.blocks,
-        "heads": config.heads, "groups": config.groups, "window": config.window,
-        "n_states": config.n_states,
-        "power_channels": list(config.power_channels),
-        "voltage_channels": list(config.voltage_channels),
-        "lr": config.lr, "epochs": config.epochs, "seed": config.seed,
-        "positional_encoding": config.positional_encoding,
-        "optimizer": config.optimizer,
-    }
 
 
 def _config_from_dict(raw):

@@ -143,20 +143,20 @@ def default_schema(feeder, power_sigma=0.01, vmag_sigma=0.004, vang_sigma=0.002,
 
 
 def measure(v, Y, schema):
-    """Noiseless measurement function h: voltages -> channel values.
+    """Noiseless measurement function h: voltages -> channel values; one
+    column of measure_many."""
+    v = np.asarray(v)
+    if v.shape[0] != Y.shape[0]:
+        raise UnknownChannelTarget("voltage vector does not cover the admittance matrix")
+    return measure_many(v[:, None], Y, schema)[:, 0]
+
+
+def measure_many(vm, Y, schema):
+    """h over the columns of a (n_nodes, k) voltage matrix.
 
     P/Q channels read the real/imaginary parts of v_i * conj((Y v)_i);
     voltage channels read |v_i| and arg(v_i).
     """
-    v = np.asarray(v)
-    if v.shape[0] != Y.shape[0]:
-        raise UnknownChannelTarget("voltage vector does not cover the admittance matrix")
-    inj = v * np.conj(Y @ v)
-    return _extract_channels(v, inj, schema)
-
-
-def measure_many(vm, Y, schema):
-    """Vectorized measure() over columns of a (n_nodes, k) voltage matrix."""
     inj = vm * np.conj(Y @ vm)
     out = np.empty((len(schema), vm.shape[1]))
     idx = schema.node_idx
@@ -165,17 +165,6 @@ def measure_many(vm, Y, schema):
     out[codes == 1] = inj.imag[idx[codes == 1]]
     out[codes == 2] = np.abs(vm[idx[codes == 2]])
     out[codes == 3] = np.angle(vm[idx[codes == 3]])
-    return out
-
-
-def _extract_channels(v, inj, schema):
-    out = np.empty(len(schema))
-    idx = schema.node_idx
-    codes = schema.kind_codes
-    out[codes == 0] = inj.real[idx[codes == 0]]
-    out[codes == 1] = inj.imag[idx[codes == 1]]
-    out[codes == 2] = np.abs(v[idx[codes == 2]])
-    out[codes == 3] = np.angle(v[idx[codes == 3]])
     return out
 
 
@@ -194,19 +183,6 @@ def draw_mask(schema, rng, steps=None):
     """Bernoulli(alpha_j) missing indicators; shape (m,) or (steps, m)."""
     shape = len(schema) if steps is None else (steps, len(schema))
     return rng.random(shape) < schema.alphas
-
-
-def apply_mask(z, schema, rng_seed):
-    """Mask channels independently with probability alpha_j.
-
-    Masked positions are set to exactly zero; the caller is expected to pass
-    normalized values so that zero is the channel mean. Returns (masked
-    vector, boolean mask with True = missing).
-    """
-    rng = np.random.default_rng(rng_seed)
-    mask = draw_mask(schema, rng)
-    z_masked = np.where(mask, 0.0, np.asarray(z, dtype=float))
-    return z_masked, mask
 
 
 @dataclass(frozen=True)

@@ -88,9 +88,21 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(seeds=()).validate()
 
-    def test_unknown_keys_rejected(self):
+    @pytest.mark.parametrize("raw, key", [
+        ({"bogus": 1}, "bogus"),
+        ({"profile": {"seeds": 3}}, "seeds"),
+        ({"schema": {"vmag_sigmas": 0.01}}, "vmag_sigmas"),
+        ({"evaluation": {"alpha": [0.0]}}, "alpha"),
+    ], ids=["config", "profile", "schema", "evaluation"])
+    def test_unknown_keys_rejected(self, raw, key):
+        with pytest.raises(ConfigError, match=f"\\['{key}'\\]"):
+            ExperimentConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("raw", [{"steps": "abc"}, {"profile": {"jitter": "x"}},
+                                     {"evaluation": {"seeds": [None]}}, {"schema": 3}, "abc"])
+    def test_unparseable_values_rejected(self, raw):
         with pytest.raises(ConfigError):
-            ExperimentConfig.from_dict({"bogus": 1})
+            ExperimentConfig.from_dict(raw)
 
     def test_unknown_model_key_rejected(self):
         with pytest.raises(ConfigError, match="heads_per_group"):

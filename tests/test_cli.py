@@ -171,6 +171,21 @@ class TestExitCodes:
         assert result.returncode == 2
         assert "config error" in result.stderr and "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("key, value", [("steps", "abc"),
+                                            ("evaluation", {"alpha": [0.0]})])
+    def test_bad_config_value_or_section_key_is_exit_2(self, tmp_path, key, value):
+        cfg = dict(CONFIG, output_dir=str(tmp_path / "out"), **{key: value})
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        result = run_cli("gen", "--config", str(path))
+        assert result.returncode == 2
+        assert "config error" in result.stderr and "Traceback" not in result.stderr
+
+    def test_sweep_jobs_other_than_one_is_exit_2(self, config_path):
+        result = run_cli("sweep", "--config", str(config_path), "--jobs", "2")
+        assert result.returncode == 2
+        assert "--jobs" in result.stderr
+
     def test_window_not_shorter_than_steps_is_exit_2(self, tmp_path):
         cfg = dict(CONFIG)
         cfg["output_dir"] = str(tmp_path / "out")

@@ -11,12 +11,12 @@ from gridtwin.errors import (
     UnparseableNumber,
 )
 from gridtwin.feeder import LoadScenario, admittance_matrix, flat_voltages
+from gridtwin.model import ModelConfig, build_windows
 from gridtwin.telemetry import (
     Channel,
     MeasurementSchema,
     _add_noise,
     add_noise,
-    apply_mask,
     build_dataset,
     draw_mask,
     export_csv,
@@ -138,20 +138,38 @@ class TestNoise:
 
 
 class TestMask:
-    def test_alpha_zero_identity(self, schema8):
-        z = np.linspace(-1, 1, len(schema8))
-        masked, mask = apply_mask(z, schema8.with_alpha(0.0), rng_seed=5)
-        assert not mask.any()
-        assert np.array_equal(masked, z)
+    """The model's mask path: build_windows zeroes masked normalized inputs."""
 
-    def test_masked_positions_exactly_zero(self, schema8):
-        z = np.full(len(schema8), 0.7)
-        masked, mask = apply_mask(z, schema8.with_alpha(0.3), rng_seed=5)
-        assert mask.any()
-        assert np.all(masked[mask] == 0.0)
-        assert np.all(masked[~mask] == 0.7)
-        # mask/zero coupling both ways for nonzero entries
-        assert np.array_equal(masked == 0.0, mask)
+    @pytest.fixture(scope="class")
+    def windows(self, feeder8, schema8):
+        feeder, nominal = feeder8
+        profiles = [nominal.scaled(1 + 0.2 * np.sin(t / 3)) for t in range(20)]
+        ds = build_dataset(feeder, profiles, schema8, seed=3)
+        config = ModelConfig.for_dataset(ds, window=4)
+        ends = np.arange(config.window - 1, ds.n_steps)
+        steps = ends[:, None] + np.arange(1 - config.window, 1)
+        channels = list(config.power_channels) + list(config.voltage_channels)
+
+        def build(alpha):
+            masks = draw_mask(schema8.with_alpha(alpha), np.random.default_rng(5),
+                              steps=ds.n_steps)
+            batch = build_windows(ds, ends, masks, config)
+            inputs = np.concatenate([batch.z_power, batch.z_volt], axis=-1)
+            return (inputs, ds.normalize(ds.z[steps])[..., channels],
+                    masks[steps][..., channels])
+
+        return build
+
+    def test_alpha_zero_identity(self, windows):
+        inputs, rows, mask = windows(0.0)
+        assert not mask.any()
+        assert np.array_equal(inputs, rows)
+
+    def test_masked_positions_exactly_zero(self, windows):
+        inputs, rows, mask = windows(0.3)
+        assert mask.any() and not mask.all()
+        assert np.all(inputs[mask] == 0.0)
+        assert np.array_equal(inputs[~mask], rows[~mask])
 
     def test_empirical_rate_at_table_scale(self, feeder2):
         # 350 channels x 2864 steps at alpha = 5%, through the real mask path
