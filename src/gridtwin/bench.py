@@ -275,9 +275,11 @@ def evaluate_model(model, dataset, alpha, seed):
 
 
 def _masked_problems(feeder, dataset, alpha, seed, window):
-    """(step, masked WlsProblem) for every evaluation step at one (alpha, seed)."""
+    """(step, masked WlsProblem) for every evaluation step at one (alpha, seed).
+    A cell is missing when the evaluation mask drops it or the dataset has no
+    reading there (a blank cell of an imported CSV)."""
     Y = admittance_matrix(feeder)
-    masks = eval_mask(dataset, alpha, seed)
+    masks = eval_mask(dataset, alpha, seed) | dataset.mask
     return [(t, WlsProblem.from_schema(dataset.schema, Y, dataset.z[t], mask=masks[t]))
             for t in eval_steps(dataset, window)]
 

@@ -102,6 +102,19 @@ class MeasurementSchema:
     def indices_of(self, kinds):
         return tuple(i for i, c in enumerate(self.channels) if c.kind in kinds)
 
+    @cached_property
+    def kind_tables(self):
+        """(rows, nodes) per kind code, in KINDS order: the channel positions of
+        that kind and the phase-nodes they read."""
+        rows = [np.flatnonzero(self.kind_codes == k) for k in range(len(KINDS))]
+        return tuple((r, self.node_idx[r]) for r in rows)
+
+    @cached_property
+    def measurement_models(self):
+        """wls.MeasurementModel of this schema per admittance matrix, keyed by
+        the bytes of Y; filled on first use by MeasurementModel.of."""
+        return {}
+
     def power_indices(self):
         return self.indices_of(POWER_KINDS)
 
@@ -159,12 +172,11 @@ def measure_many(vm, Y, schema):
     """
     inj = vm * np.conj(Y @ vm)
     out = np.empty((len(schema), vm.shape[1]))
-    idx = schema.node_idx
-    codes = schema.kind_codes
-    out[codes == 0] = inj.real[idx[codes == 0]]
-    out[codes == 1] = inj.imag[idx[codes == 1]]
-    out[codes == 2] = np.abs(vm[idx[codes == 2]])
-    out[codes == 3] = np.angle(vm[idx[codes == 3]])
+    (p, p_at), (q, q_at), (mag, mag_at), (ang, ang_at) = schema.kind_tables
+    out[p] = inj.real[p_at]
+    out[q] = inj.imag[q_at]
+    out[mag] = np.abs(vm[mag_at])
+    out[ang] = np.angle(vm[ang_at])
     return out
 
 

@@ -7,6 +7,14 @@ central differences as a reference); steps that increase the weighted
 objective are halved up to ten times. Missing rows are simply deleted, which
 is exactly what makes the classical formulation fragile once masking removes
 observability.
+
+Deletion works on row slices. A `MeasurementModel` evaluates h and J over
+every channel of a schema; the flat-start x, h and J are computed once per
+(schema, contents of Y) and kept on the schema, never per mask or snapshot.
+A masked problem takes the rows it keeps from those, so the rank probe
+(`feasibility_check`) and the first Gauss-Newton iteration evaluate nothing
+at the flat start and no per-mask schema is built. `drop_missing` still
+builds the subset problem, which the row slices equal bit for bit.
 """
 
 from __future__ import annotations
@@ -27,8 +35,8 @@ class WlsProblem:
     """One estimation instance: schema-bound measurements plus weights.
 
     `weights` are the diagonal of W = R^-1; by default 1/sigma^2 from the
-    schema. `mask` (True = missing) is optional; estimate_wls removes masked
-    rows before solving.
+    schema. `mask` (True = missing, one entry per channel) is optional;
+    estimate_wls solves on the rows it leaves.
     """
 
     schema: object
@@ -46,6 +54,11 @@ class WlsProblem:
             raise ValueError("weights must be strictly positive")
         if len(z) != len(schema) or len(weights) != len(schema):
             raise ValueError("measurement/weight length does not match schema")
+        if mask is not None:
+            mask = np.asarray(mask, dtype=bool)
+            if mask.shape != (len(schema),):
+                raise ValueError(f"mask shape {mask.shape} does not match the schema's "
+                                 f"({len(schema)},)")
         return cls(schema=schema, Y=Y, z=np.asarray(z, dtype=float), weights=weights, mask=mask)
 
     @property
@@ -90,34 +103,85 @@ def jacobian_fd(schema, Y, x, step=1e-6):
 
 
 def jacobian(schema, Y, x):
-    """Closed-form Jacobian of h at x, one column per state entry.
+    """Closed-form Jacobian of h at x, one column per state entry."""
+    return MeasurementModel.of(schema, Y).jacobian(np.asarray(x, dtype=float))
 
-    With v = e + jf and s = v * conj(Y v), ds/de = diag(conj(Yv)) + diag(v) conj(Y)
-    and ds/df = j (diag(conj(Yv)) - diag(v) conj(Y)); P and Q rows are their
-    real and imaginary parts. Slack columns are dropped.
+
+class MeasurementModel:
+    """h and J of one schema over one admittance matrix.
+
+    Holds what no mask or snapshot changes: the rows of Y that the channels
+    read, the state column of each channel's own node, and x, h and J at the
+    flat start. `of` builds one per (schema, contents of Y) and keeps it on
+    the schema; a masked problem solves on row slices of it.
     """
-    feeder = schema.feeder
-    v = state_to_voltages(feeder, np.asarray(x, dtype=float))
-    idx, kind = schema.node_idx, schema.kind_codes
-    rows = np.arange(len(idx))
-    vi = v[idx]
-    own = np.zeros((len(idx), feeder.n_nodes), dtype=complex)
-    own[rows, idx] = np.conj(Y[idx] @ v)
-    cross = vi[:, None] * np.conj(Y[idx])
-    ds_de, ds_df = own + cross, 1j * (own - cross)
-    q = (kind == 1)[:, None]
-    d_e = np.where(q, ds_de.imag, ds_de.real)
-    d_f = np.where(q, ds_df.imag, ds_df.real)
-    # A |v| row is (e, f)/|v|, the parts of v/|v|, and an angle row is
-    # (-f, e)/|v|^2, the parts of jv/|v|^2, both at the channel's own node.
-    volt = kind >= 2
-    d_e[volt] = d_f[volt] = 0.0
-    at = rows[volt], idx[volt]
-    mag = np.abs(vi[volt])
-    unit = np.where(kind[volt] == 2, vi[volt] / mag, 1j * vi[volt] / mag**2)
-    d_e[at], d_f[at] = unit.real, unit.imag
-    ns = feeder.non_slack_nodes()
-    return np.hstack([d_e[:, ns], d_f[:, ns]])
+
+    def __init__(self, schema, Y):
+        feeder = schema.feeder
+        ns = feeder.non_slack_nodes()
+        column = np.full(feeder.n_nodes, -1)
+        column[ns] = np.arange(len(ns))
+        idx, kind = schema.node_idx, schema.kind_codes
+        self.feeder, self.idx, self.n_ns = feeder, idx, len(ns)
+        self.Y_rows = Y[idx]
+        self.conj_Y_ns = np.conj(self.Y_rows)[:, ns]
+        # (row, column) of each channel's own node; a channel at the slack bus
+        # has no column there.
+        rows = np.flatnonzero(column[idx] >= 0)
+        self.own_at = rows, column[idx[rows]]
+        self.q = (kind == 1)[:, None]
+        self.volt_rows = np.flatnonzero(kind >= 2)
+        volt = rows[kind[rows] >= 2]
+        self.volt_at, self.volt_mag = (volt, column[idx[volt]]), kind[volt] == 2
+        self.x_flat = flat_state(feeder)
+        self.h_flat = h_eval(schema, Y, self.x_flat)
+        self.J_flat = self.jacobian(self.x_flat)
+        # Shared by every problem on this schema and Y.
+        for a in (self.x_flat, self.h_flat, self.J_flat):
+            a.flags.writeable = False
+
+    @classmethod
+    def of(cls, schema, Y):
+        """The model of (schema, Y), built on first use and kept on the schema."""
+        key = Y.tobytes()
+        model = schema.measurement_models.get(key)
+        if model is None:
+            model = schema.measurement_models[key] = cls(schema, Y)
+        return model
+
+    def jacobian(self, x):
+        """Closed-form Jacobian of h at x, column-major.
+
+        With v = e + jf and s = v * conj(Y v), ds/de = diag(conj(Yv)) + diag(v) conj(Y)
+        and ds/df = j (diag(conj(Yv)) - diag(v) conj(Y)); P and Q rows are their
+        real and imaginary parts, over the non-slack columns.
+        """
+        v = state_to_voltages(self.feeder, x)
+        vi = v[self.idx]
+        m, n = len(self.idx), self.n_ns
+        own = np.zeros((m, n), dtype=complex)
+        own[self.own_at] = np.conj(self.Y_rows @ v)[self.own_at[0]]
+        cross = vi[:, None] * self.conj_Y_ns
+        ds_de, ds_df = own + cross, 1j * (own - cross)
+        J = np.empty((m, 2 * n), order="F")
+        J[:, :n] = np.where(self.q, ds_de.imag, ds_de.real)
+        J[:, n:] = np.where(self.q, ds_df.imag, ds_df.real)
+        # A |v| row is (e, f)/|v|, the parts of v/|v|, and an angle row is
+        # (-f, e)/|v|^2, the parts of jv/|v|^2, both at the channel's own node.
+        J[self.volt_rows] = 0.0
+        rows, cols = self.volt_at
+        vv = vi[rows]
+        mag = np.abs(vv)
+        unit = np.where(self.volt_mag, vv / mag, 1j * vv / mag**2)
+        J[rows, cols], J[rows, n + cols] = unit.real, unit.imag
+        return J
+
+
+def _rows(J, keep):
+    """Rows `keep` of J, column-major like J: the products of the normal
+    equations round differently on a row-major copy, and this layout keeps
+    the solve bit-identical to one on a Jacobian of the kept channels alone."""
+    return J.T.take(keep, axis=1).T
 
 
 def drop_missing(problem):
@@ -134,15 +198,17 @@ def drop_missing(problem):
     )
 
 
-def _prepare(problem, x0):
-    """Masked rows dropped and the start point (flat unless x0 is given), or a
-    RankDeficient verdict when fewer rows than states remain."""
-    problem = drop_missing(problem)
+def _prepare(problem):
+    """Positions of the rows that are not masked, or a RankDeficient verdict
+    when fewer rows than states remain."""
+    if problem.mask is None:
+        keep = np.arange(len(problem.z))
+    else:
+        keep = np.flatnonzero(~np.asarray(problem.mask, dtype=bool))
     n = problem.n_states
-    if len(problem.z) < n:
-        return RankDeficient(f"{len(problem.z)} measurements cannot determine {n} states")
-    return problem, np.array(flat_state(problem.schema.feeder) if x0 is None else x0,
-                             dtype=float)
+    if len(keep) < n:
+        return RankDeficient(f"{len(keep)} measurements cannot determine {n} states")
+    return keep
 
 
 def _normal_cholesky(J, w, iteration):
@@ -183,19 +249,28 @@ def estimate_wls(problem, x0=None, tol=1e-8, max_iter=40):
 
 def _gauss_newton(problem, x0, tol, max_iter):
     """The solve of estimate_wls; returns a StateEstimate or the verdict to raise."""
-    prepared = _prepare(problem, x0)
-    if isinstance(prepared, RankDeficient):
-        return prepared
-    problem, x = prepared
-    schema, Y, z, w = problem.schema, problem.Y, problem.z, problem.weights
+    keep = _prepare(problem)
+    if isinstance(keep, RankDeficient):
+        return keep
+    schema, Y = problem.schema, problem.Y
+    model = MeasurementModel.of(schema, Y)
+    z, w = problem.z[keep], problem.weights[keep]
 
-    def residual(xv):
-        r = z - h_eval(schema, Y, xv)
+    def objective(h):
+        r = z - h[keep]
         return r, float(r @ (w * r))
 
-    r, f = residual(x)
+    def residual(xv):
+        return objective(h_eval(schema, Y, xv))
+
+    if x0 is None:
+        x = model.x_flat
+        r, f = objective(model.h_flat)
+    else:
+        x = np.array(x0, dtype=float)
+        r, f = residual(x)
     for iteration in range(1, max_iter + 1):
-        J = jacobian(schema, Y, x)
+        J = _rows(model.J_flat if x is model.x_flat else model.jacobian(x), keep)
         L = _normal_cholesky(J, w, iteration)
         if isinstance(L, RankDeficient):
             return L
@@ -214,7 +289,9 @@ def _gauss_newton(problem, x0, tol, max_iter):
             alpha *= 0.5
         else:
             if step <= 10 * tol:
-                return StateEstimate(x=x, iterations=iteration, residual=f, converged=True)
+                # A copy: x may still be the model's read-only flat start.
+                return StateEstimate(x=np.array(x), iterations=iteration, residual=f,
+                                     converged=True)
             return NoConvergence(
                 f"no descent step after 10 halvings at iteration {iteration}",
                 iterations=iteration,
@@ -232,9 +309,10 @@ def feasibility_check(problem, x0=None):
     (row count, condition limit, Cholesky) to the Jacobian at x0. Returns
     True when a Gauss-Newton step is well-posed.
     """
-    prepared = _prepare(problem, x0)
-    if isinstance(prepared, RankDeficient):
+    keep = _prepare(problem)
+    if isinstance(keep, RankDeficient):
         return False
-    problem, x = prepared
-    L = _normal_cholesky(jacobian(problem.schema, problem.Y, x), problem.weights, iteration=1)
+    model = MeasurementModel.of(problem.schema, problem.Y)
+    J = model.J_flat if x0 is None else model.jacobian(np.asarray(x0, dtype=float))
+    L = _normal_cholesky(_rows(J, keep), problem.weights[keep], iteration=1)
     return not isinstance(L, RankDeficient)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from gridtwin.bench import (
 from gridtwin.model import ConcatBaselineModel, DtModel
 from gridtwin.errors import ConfigError, LengthMismatch
 from gridtwin.metrics import compute_metrics, summarize, wrap_angle
+from gridtwin.telemetry import export_csv, import_csv
 
 
 class TestMetrics:
@@ -235,3 +238,46 @@ class TestSweepTimeseries:
         fresh = bench.build_timeseries(config, dataset, steps, dt, ablation, wls, wls_steps)
         bench.write_timeseries_csv(tmp_path / "fresh.csv", fresh[1], fresh[2])
         assert (tmp_path / "fresh.csv").read_bytes() == (out / "timeseries.csv").read_bytes()
+
+
+class TestImportedBlanks:
+    """Blank cells of an imported CSV are missing for WLS and its rank probe,
+    not zero readings."""
+
+    @pytest.fixture(scope="class")
+    def generated(self):
+        feeder, _, dataset = bench.generate_dataset(ExperimentConfig(steps=60))
+        return feeder, dataset
+
+    def round_trip(self, tmp_path, dataset, columns):
+        mask = dataset.mask.copy()
+        mask[:, columns] = True
+        blanked = replace(dataset, mask=mask)
+        mp, sp = tmp_path / "m.csv", tmp_path / "s.csv"
+        export_csv(blanked, mp, sp)
+        imported = import_csv(mp, sp, dataset.schema)
+        assert np.array_equal(imported.mask, mask) and not imported.z[:, columns].any()
+        return blanked, imported
+
+    def test_blank_column_is_left_out_of_wls(self, tmp_path, generated):
+        feeder, dataset = generated
+        column = [c.kind for c in dataset.schema].index("V_magnitude")
+        blanked, imported = self.round_trip(tmp_path, dataset, [column])
+        window = 4
+        metrics, counts, estimates, steps = bench.evaluate_wls(feeder, imported, 0.0, 0, window)
+        # The in-memory dataset keeps the true readings under its mask, so the
+        # two agree only when the masked column is left out.
+        want = bench.evaluate_wls(feeder, blanked, 0.0, 0, window)
+        assert (metrics, counts, steps) == (want[0], want[1], want[3])
+        assert np.array_equal(estimates, want[2])
+        assert counts["feasible_fraction"] == 1.0
+        generated_mae = bench.evaluate_wls(feeder, dataset, 0.0, 0, window)[0]["mae_mag"]
+        assert metrics["mae_mag"] < 2 * generated_mae
+
+    def test_blank_columns_count_against_observability(self, tmp_path, generated):
+        feeder, dataset = generated
+        spare = len(dataset.schema) - dataset.n_states
+        _, imported = self.round_trip(tmp_path, dataset, list(range(spare + 1)))
+        assert bench.wls_failure_fraction(feeder, imported, 0.0, 0, 4) == 1.0
+        _, counts, _, _ = bench.evaluate_wls(feeder, imported, 0.0, 0, 4)
+        assert counts == {"feasible_fraction": 0.0, "rank_deficient_fraction": 1.0}

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from gridtwin import bench
+from gridtwin import bench, wls
 from gridtwin.errors import NoConvergence, RankDeficient
 from gridtwin.feeder import (
     LoadScenario,
@@ -14,8 +14,9 @@ from gridtwin.feeder import (
     solve_power_flow,
     voltages_to_state,
 )
-from gridtwin.telemetry import default_schema, measure
+from gridtwin.telemetry import MeasurementSchema, default_schema, measure
 from gridtwin.wls import (
+    MeasurementModel,
     WlsProblem,
     drop_missing,
     estimate_wls,
@@ -85,6 +86,13 @@ class TestEstimate:
         est = estimate_wls(WlsProblem.from_schema(schema8, y, z), x0=x_true)
         assert est.iterations == 1
         assert np.array_equal(est.x, x_true)
+
+    @pytest.mark.parametrize("shape", [(48,), (68,), (2, 58)])
+    def test_mask_shape_must_match_schema(self, schema8, noiseless8, shape):
+        y, z = noiseless8
+        assert len(schema8) == 58
+        with pytest.raises(ValueError, match="mask shape"):
+            WlsProblem.from_schema(schema8, y, z, mask=np.zeros(shape, dtype=bool))
 
     def test_rank_deficient_after_heavy_masking(self, schema8, noiseless8):
         y, z = noiseless8
@@ -158,6 +166,94 @@ class TestJacobian:
         d2 = np.linalg.norm(j2 - j3)
         assert d1 > 0 and d2 > 0
         assert 3.0 < d1 / d2 < 5.0
+
+
+def _outcome(problem):
+    """Everything a solve returns, as bytes, or the verdict it raises."""
+    try:
+        est = estimate_wls(problem)
+    except (RankDeficient, NoConvergence) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "iterations", None)
+    return est.x.tobytes(), est.iterations, est.residual, est.converged
+
+
+class TestRowSlices:
+    """The solver works on row slices of one per-(schema, Y) model; the slices
+    equal what a schema of the kept channels alone computes, bit for bit."""
+
+    @pytest.fixture(scope="class", params=["eight_bus", "partial_phases"])
+    def case(self, request, feeder8, schema8):
+        if request.param == "eight_bus":
+            return schema8
+        feeder = build_feeder(partial_phase_spec())
+        return default_schema(feeder, vang_nodes=["m:a", "m:c", "e:a"])
+
+    def test_sliced_h_and_jacobian_equal_the_subset_schema(self, case):
+        schema = case
+        y = admittance_matrix(schema.feeder)
+        rng = np.random.default_rng(31)
+        flat = flat_state(schema.feeder)
+        for k in range(200):
+            x = flat if k == 0 else flat + 0.05 * rng.standard_normal(len(flat))
+            keep = np.flatnonzero(rng.random(len(schema)) >= 0.3)
+            sub = schema.subset(keep)
+            assert h_eval(schema, y, x)[keep].tobytes() == h_eval(sub, y, x).tobytes()
+            sliced, alone = wls._rows(jacobian(schema, y, x), keep), jacobian(sub, y, x)
+            assert sliced.tobytes() == alone.tobytes()
+            # The solver's layout: J'WJ and J'Wr on a row-major copy of the same
+            # values round differently in the last bits of the solved x.
+            assert sliced.flags.f_contiguous and alone.flags.f_contiguous
+
+    def test_masked_solve_equals_the_subset_problem(self, case):
+        schema = case
+        y = admittance_matrix(schema.feeder)
+        z = h_eval(schema, y, flat_state(schema.feeder) + 0.01)
+        rng = np.random.default_rng(32)
+        for _ in range(40):
+            mask = rng.random(len(schema)) < 0.2
+            problem = WlsProblem.from_schema(schema, y, z + schema.sigmas *
+                                             rng.standard_normal(len(z)), mask=mask)
+            assert feasibility_check(problem) == feasibility_check(drop_missing(problem))
+            assert _outcome(problem) == _outcome(drop_missing(problem))
+
+    def test_one_model_per_schema_and_y_contents(self, schema8, noiseless8):
+        schema = MeasurementSchema(schema8.channels, schema8.feeder)
+        y, z = noiseless8
+        rng = np.random.default_rng(33)
+        for _ in range(50):
+            mask = rng.random(len(schema)) < 0.2
+            problem = WlsProblem.from_schema(schema, y, z, mask=mask)
+            feasibility_check(problem)
+            _outcome(problem)
+        assert len(schema.measurement_models) == 1
+        assert MeasurementModel.of(schema, y.copy()) is MeasurementModel.of(schema, y)
+        assert len(schema.measurement_models) == 1
+
+    def test_new_y_contents_get_a_fresh_model(self, schema8, noiseless8):
+        schema = MeasurementSchema(schema8.channels, schema8.feeder)
+        y, z = noiseless8
+        y2 = y * (1.0 + 0.05j)
+        rng = np.random.default_rng(34)
+        masks = [rng.random(len(schema)) < 0.25 for _ in range(30)]
+        warm, cold = [], []
+        for mask in masks:
+            feasibility_check(WlsProblem.from_schema(schema, y, z, mask=mask))
+            problem = WlsProblem.from_schema(schema, y2, z, mask=mask)
+            warm.append((feasibility_check(problem), _outcome(problem)))
+            # A schema of the kept channels alone holds no model yet.
+            alone = drop_missing(problem)
+            assert not alone.schema.measurement_models
+            cold.append((feasibility_check(alone), _outcome(alone)))
+        assert len(schema.measurement_models) == 2
+        assert warm == cold
+        assert {verdict for verdict, _ in warm} == {True, False}
+
+    def test_model_arrays_are_read_only(self, schema8, noiseless8):
+        y, z = noiseless8
+        model = MeasurementModel.of(schema8, y)
+        for a in (model.x_flat, model.h_flat, model.J_flat):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
 
 
 class TestDropMissing:
