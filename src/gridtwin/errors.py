@@ -34,8 +34,9 @@ class InvalidLoad(GridTwinError):
 class NoConvergence(GridTwinError):
     """Iterative solve ran out of iterations or diverged.
 
-    `step` is set when the failure happened inside a time-series build and
-    identifies the offending time index.
+    `step` is set when the failure happened in a batched power flow or a
+    time-series build and identifies the offending time index (0 for a lone
+    solve_power_flow, a batch of one).
     """
 
     def __init__(self, message, iterations=None, mismatch=None, step=None):

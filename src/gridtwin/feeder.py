@@ -5,7 +5,11 @@ to three phases through a symmetric 3x3 complex impedance matrix (per-unit).
 Voltages are solved with a backward/forward sweep: load currents are
 accumulated from the leaves toward the slack, then voltage drops are applied
 from the slack outward, until the complex power mismatch drops below
-tolerance. Buses may carry a subset of phases; missing phases are absent
+tolerance. The sweep is batched: `solve_power_flows` solves a sequence of
+load scenarios as the columns of one voltage matrix, each column leaving the
+sweep once it converges, and `solve_power_flow` is a batch of one. Its
+matrix products run one column at a time, so every column rounds as it
+would alone. Buses may carry a subset of phases; missing phases are absent
 phase-nodes, never zero rows.
 
 The global phase-node ordering (bus listing order, phases a<b<c) defines the
@@ -16,6 +20,7 @@ phase-nodes.
 
 from __future__ import annotations
 
+import cmath
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -54,10 +59,14 @@ class Line:
 
 @dataclass(frozen=True)
 class VoltageSolution:
-    """Converged per-phase-node complex voltages plus solve diagnostics."""
+    """Converged per-phase-node complex voltages plus solve diagnostics.
+
+    From solve_power_flows, `v` has one column per scenario and `iterations`
+    and `mismatch` are arrays with one entry per scenario.
+    """
 
     v: np.ndarray  # complex, aligned to feeder.phase_nodes
-    iterations: int
+    iterations: int  # sweeps run
     mismatch: float  # infinity-norm of complex power mismatch, p.u.
 
 
@@ -88,8 +97,9 @@ class LoadScenario:
 class FeederModel:
     """Validated radial feeder with precomputed traversal and index tables.
 
-    The non-slack node indices, the flat voltage profile and the admittance
-    matrix are built on first use and kept, read-only, with the feeder.
+    The non-slack node indices, the flat voltage profile, the admittance
+    matrix and the per-line sweep tables are built on first use and kept,
+    read-only, with the feeder.
     """
 
     buses: tuple[Bus, ...]
@@ -130,6 +140,19 @@ class FeederModel:
     def _admittance(self):
         return _read_only(_build_admittance(self))
 
+    @cached_property
+    def _lines(self):
+        """(child nodes, parent nodes of the child's phases, impedance on those
+        phases) per line, parents before children: the tables of the sweep."""
+        lines = []
+        for child in self.order[1:]:
+            phases = self.bus_map[child].phases
+            idx = [_PHASE_POS[p] for p in phases]
+            up = np.array([self.node_index[(self.parent[child], p)] for p in phases])
+            zsub = _read_only(self.parent_line[child].z[np.ix_(idx, idx)])
+            lines.append((_block(self.nodes_of(child)), _block(up), zsub))
+        return tuple(lines)
+
     def state_labels(self):
         """Column labels of the state vector: all re:bus:phase then im:bus:phase."""
         ns = [self.phase_nodes[i] for i in self.non_slack_nodes()]
@@ -143,6 +166,14 @@ class FeederModel:
 def _read_only(a):
     a.flags.writeable = False
     return a
+
+
+def _block(nodes):
+    """Consecutive node indices as a slice, which numpy indexes several times
+    faster than an index array; any other index set stays an array."""
+    if np.all(np.diff(nodes) == 1):
+        return slice(int(nodes[0]), int(nodes[-1]) + 1)
+    return _read_only(nodes)
 
 
 def _canonical_phases(raw):
@@ -311,18 +342,14 @@ def admittance_matrix(feeder):
 def _build_admittance(feeder):
     n = feeder.n_nodes
     y = np.zeros((n, n), dtype=complex)
-    for child in feeder.order[1:]:
-        line = feeder.parent_line[child]
-        phases = feeder.bus_map[child].phases
-        idx = [_PHASE_POS[p] for p in phases]
-        zsub = line.z[np.ix_(idx, idx)]
+    nodes = np.arange(n)
+    for child, (c, p, zsub) in zip(feeder.order[1:], feeder._lines):
+        ci, pi = nodes[c], nodes[p]
         try:
             ysub = np.linalg.inv(zsub)
         except np.linalg.LinAlgError as exc:
             raise SingularImpedance(f"line into {child!r} not invertible") from exc
         ysub = (ysub + ysub.T) / 2  # inverse of a symmetric matrix is symmetric
-        ci = feeder.nodes_of(child)
-        pi = np.array([feeder.node_index[(feeder.parent[child], p)] for p in phases])
         y[np.ix_(pi, pi)] += ysub
         y[np.ix_(ci, ci)] += ysub
         y[np.ix_(pi, ci)] -= ysub
@@ -361,64 +388,87 @@ def _load_vector(feeder, loads):
             raise InvalidLoad(f"load on unknown phase-node {key}")
         if bus_id == feeder.slack_bus:
             raise InvalidLoad(f"load on slack bus {bus_id!r} is not allowed")
-        if not np.isfinite(demand):
+        if not cmath.isfinite(demand):  # np.isfinite costs ~1 us on a scalar
             raise InvalidLoad(f"non-finite load at {key}")
         s[feeder.node_index[key]] = complex(demand)
     return s
 
 
-def solve_power_flow(feeder, loads, tol=1e-8, max_iter=100):
-    """Backward/forward sweep power flow for constant-power wye loads.
+def columnwise(a, b):
+    """a @ b one column of b at a time: each column rounds as it would in
+    a @ b[:, j] alone, which one product over all columns does not."""
+    return np.matmul(a, b.T[:, :, None])[:, :, 0].T
 
-    Convergence is the infinity-norm of the complex power mismatch
-    |v * conj(Y v) + s_load| over non-slack phase-nodes. Deterministic for
-    fixed inputs.
+
+def solve_power_flow(feeder, loads, tol=1e-8, max_iter=100):
+    """Backward/forward sweep power flow for constant-power wye loads; one
+    column of solve_power_flows."""
+    sol = solve_power_flows(feeder, [loads], tol, max_iter)
+    return VoltageSolution(v=sol.v[:, 0], iterations=int(sol.iterations[0]),
+                           mismatch=float(sol.mismatch[0]))
+
+
+def solve_power_flows(feeder, loads_seq, tol=1e-8, max_iter=100):
+    """Backward/forward sweep power flow over a sequence of load scenarios.
+
+    Each scenario is one column of an (n_nodes, T) voltage matrix; a column
+    leaves the sweep once it converges or turns non-finite. Convergence is
+    the infinity-norm of the complex power mismatch |v * conj(Y v) + s_load|
+    over non-slack phase-nodes. Returns a VoltageSolution whose `v` holds one
+    column per scenario and whose `iterations` and `mismatch` are arrays with
+    one entry per scenario. Every column equals a lone solve of its scenario
+    bit for bit. Raises NoConvergence for the lowest-index scenario that
+    fails, with `step` set to its index.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    s_load = _load_vector(feeder, loads)
-    y = feeder._admittance
-    v = flat_voltages(feeder)
-    ns = feeder.non_slack_nodes()
-
-    # Per-bus index tables for the sweeps.
-    bus_nodes = {b.id: feeder.nodes_of(b.id) for b in feeder.buses}
-    lift = {}  # child bus -> positions of its phases within the parent's phase tuple
-    zsub = {}
-    for child in feeder.order[1:]:
-        parent_ph = feeder.bus_map[feeder.parent[child]].phases
-        child_ph = feeder.bus_map[child].phases
-        lift[child] = np.array([parent_ph.index(p) for p in child_ph])
-        idx = [_PHASE_POS[p] for p in child_ph]
-        zsub[child] = feeder.parent_line[child].z[np.ix_(idx, idx)]
-
-    mismatch = np.inf
+    loads_seq = list(loads_seq)
+    s = np.empty((feeder.n_nodes, len(loads_seq)), dtype=complex)
+    for t, loads in enumerate(loads_seq):
+        s[:, t] = _load_vector(feeder, loads)
+    y, ns, lines = feeder._admittance, feeder.non_slack_nodes(), feeder._lines
+    out = np.empty_like(s)
+    v = np.repeat(feeder._flat_v[:, None], s.shape[1], axis=1)
+    cols = np.arange(s.shape[1])
+    iterations = np.zeros(len(cols), dtype=int)
+    mismatch = np.full(len(cols), np.inf)
+    diverged = np.zeros(len(cols), dtype=bool)
     for iteration in range(1, max_iter + 1):
+        if not len(cols):
+            break
         # Backward: accumulate load currents from the leaves toward the slack.
-        branch_current = {}
-        into_parent = {b.id: np.zeros(len(b.phases), dtype=complex) for b in feeder.buses}
-        for child in reversed(feeder.order[1:]):
-            nodes = bus_nodes[child]
-            i_node = np.conj(s_load[nodes] / v[nodes])
-            i_branch = i_node + into_parent[child]
-            branch_current[child] = i_branch
-            into_parent[feeder.parent[child]][lift[child]] += i_branch
+        # i_line[child] ends as the current of the line feeding that bus.
+        i_node = np.conj(s / v)
+        i_line = np.zeros_like(v)
+        for child, up, _ in reversed(lines):
+            i_line[child] += i_node[child]
+            i_line[up] += i_line[child]
         # Forward: apply series voltage drops from the slack outward.
-        for child in feeder.order[1:]:
-            v_parent = v[bus_nodes[feeder.parent[child]]]
-            v[bus_nodes[child]] = v_parent[lift[child]] - zsub[child] @ branch_current[child]
-        if not np.all(np.isfinite(v)):
-            raise NoConvergence(
-                f"power flow diverged after {iteration} sweeps",
-                iterations=iteration,
-            )
-        s_calc = v * np.conj(y @ v)
-        mismatch = float(np.max(np.abs(s_calc[ns] + s_load[ns]))) if len(ns) else 0.0
-        if mismatch <= tol:
-            return VoltageSolution(v=v, iterations=iteration, mismatch=mismatch)
+        for child, up, z in lines:
+            v[child] = v[up] - columnwise(z, i_line[child])
+        iterations[cols] = iteration
+        finite = np.isfinite(v).all(axis=0)
+        if not finite.all():
+            diverged[cols[~finite]] = True
+            v, s, cols = v[:, finite], s[:, finite], cols[finite]
+        s_calc = v * np.conj(columnwise(y, v))
+        mismatch[cols] = np.abs(s_calc[ns] + s[ns]).max(axis=0) if len(ns) else 0.0
+        done = mismatch[cols] <= tol
+        if done.any():
+            out[:, cols[done]] = v[:, done]
+            v, s, cols = v[:, ~done], s[:, ~done], cols[~done]
 
-    raise NoConvergence(
-        f"power flow did not reach tol={tol:g} in {max_iter} sweeps (mismatch {mismatch:.3e})",
-        iterations=max_iter,
-        mismatch=mismatch,
-    )
+    failed = np.flatnonzero(~(mismatch <= tol))  # a diverged column keeps inf
+    if len(failed):
+        t = int(failed[0])
+        if diverged[t]:
+            raise NoConvergence(f"power flow diverged after {iterations[t]} sweeps",
+                                iterations=int(iterations[t]), step=t)
+        raise NoConvergence(
+            f"power flow did not reach tol={tol:g} in {max_iter} sweeps "
+            f"(mismatch {mismatch[t]:.3e})",
+            iterations=max_iter,
+            mismatch=float(mismatch[t]),
+            step=t,
+        )
+    return VoltageSolution(v=out, iterations=iterations, mismatch=mismatch)

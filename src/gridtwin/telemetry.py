@@ -26,7 +26,7 @@ from .errors import (
     UnknownChannelTarget,
     UnparseableNumber,
 )
-from .feeder import admittance_matrix, solve_power_flow, voltages_to_state
+from .feeder import admittance_matrix, columnwise, solve_power_flows, voltages_to_state
 
 KINDS = ("P_injection", "Q_injection", "V_magnitude", "V_angle")
 POWER_KINDS = ("P_injection", "Q_injection")
@@ -168,9 +168,10 @@ def measure_many(vm, Y, schema):
     """h over the columns of a (n_nodes, k) voltage matrix.
 
     P/Q channels read the real/imaginary parts of v_i * conj((Y v)_i);
-    voltage channels read |v_i| and arg(v_i).
+    voltage channels read |v_i| and arg(v_i). Y v is taken one column at a
+    time, so each column equals measure of that column alone bit for bit.
     """
-    inj = vm * np.conj(Y @ vm)
+    inj = vm * np.conj(columnwise(Y, vm))
     out = np.empty((len(schema), vm.shape[1]))
     (p, p_at), (q, q_at), (mag, mag_at), (ang, ang_at) = schema.kind_tables
     out[p] = inj.real[p_at]
@@ -247,32 +248,28 @@ def _norm_stats(z, mask, split_index):
 
 
 def build_dataset(feeder, load_profiles, schema, seed, train_fraction=0.8):
-    """Run power flow per time step, measure, add noise, collect stats.
+    """Solve the power flow of every time step in one batch, measure, add
+    noise, collect stats.
 
     Per-step noise seeds derive from (seed, t) so steps are independent and
-    the construction is reproducible. NoConvergence is re-raised with the
-    failing step index attached.
+    the construction is reproducible. NoConvergence is raised for the lowest
+    failing step, with that step index attached.
     """
     profiles = list(load_profiles)
     if not profiles:
         raise ValueError("load_profiles must be nonempty")
-    Y = admittance_matrix(feeder)
-    z_rows, x_rows = [], []
-    for t, loads in enumerate(profiles):
-        try:
-            sol = solve_power_flow(feeder, loads)
-        except NoConvergence as exc:
-            raise NoConvergence(
-                f"power flow failed at step {t}: {exc}",
-                iterations=exc.iterations,
-                mismatch=exc.mismatch,
-                step=t,
-            ) from exc
-        x_rows.append(voltages_to_state(feeder, sol.v))
-        z_clean = measure(sol.v, Y, schema)
-        z_rows.append(add_noise(z_clean, schema, rng_seed=(seed, t)))
-    z = np.array(z_rows)
-    x = np.array(x_rows)
+    try:
+        v = solve_power_flows(feeder, profiles).v
+    except NoConvergence as exc:
+        raise NoConvergence(
+            f"power flow failed at step {exc.step}: {exc}",
+            iterations=exc.iterations,
+            mismatch=exc.mismatch,
+            step=exc.step,
+        ) from exc
+    x = np.ascontiguousarray(voltages_to_state(feeder, v).T)
+    z_clean = measure_many(v, admittance_matrix(feeder), schema).T
+    z = np.array([add_noise(row, schema, rng_seed=(seed, t)) for t, row in enumerate(z_clean)])
     mask = np.zeros(z.shape, dtype=bool)
     split_index = max(1, int(round(train_fraction * z.shape[0])))
     mean, std = _norm_stats(z, mask, split_index)

@@ -67,7 +67,8 @@ class WlsProblem:
 
     @property
     def redundancy_ratio(self):
-        return len(self.z) / self.n_states
+        """Measurements left by the mask per state."""
+        return len(_keep(self)) / self.n_states
 
 
 @dataclass(frozen=True, slots=True)
@@ -198,13 +199,23 @@ def drop_missing(problem):
     )
 
 
+def _keep(problem):
+    """Positions of the rows that are not masked. A mask must hold one entry
+    per measurement: from_schema checks this, and a problem built directly is
+    checked here."""
+    if problem.mask is None:
+        return np.arange(len(problem.z))
+    mask = np.asarray(problem.mask, dtype=bool)
+    if mask.shape != (len(problem.z),):
+        raise ValueError(f"mask shape {mask.shape} does not match the measurements' "
+                         f"({len(problem.z)},)")
+    return np.flatnonzero(~mask)
+
+
 def _prepare(problem):
     """Positions of the rows that are not masked, or a RankDeficient verdict
     when fewer rows than states remain."""
-    if problem.mask is None:
-        keep = np.arange(len(problem.z))
-    else:
-        keep = np.flatnonzero(~np.asarray(problem.mask, dtype=bool))
+    keep = _keep(problem)
     n = problem.n_states
     if len(keep) < n:
         return RankDeficient(f"{len(keep)} measurements cannot determine {n} states")

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from gridtwin.feeder import fixture_path, load_fixture, solve_power_flow
+from gridtwin.bench import daily_load_profiles
+from gridtwin.feeder import LoadScenario, fixture_path, load_fixture, solve_power_flow
 from gridtwin.telemetry import default_schema
 
 
@@ -15,6 +16,23 @@ def feeder2():
 def feeder8():
     feeder, nominal = load_fixture(fixture_path("feeder_8bus"))
     return feeder, nominal
+
+
+@pytest.fixture(scope="session")
+def daily8(feeder8):
+    """A day and a quarter of 15-minute load profiles on the 8-bus feeder."""
+    _, nominal = feeder8
+    return daily_load_profiles(nominal, 120, seed=11)
+
+
+def diverging_load(feeder, nominal):
+    """Nominal load plus a huge demand at buses b7 and b8: their summed line
+    currents overflow, so the first sweep leaves non-finite voltages."""
+    loads = LoadScenario(dict(nominal.s))
+    for bus in ("b7", "b8"):
+        for phase in feeder.bus_map[bus].phases:
+            loads.s[(bus, phase)] = 1e308 + 0j
+    return loads
 
 
 @pytest.fixture(scope="session")

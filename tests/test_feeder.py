@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,11 +17,12 @@ from gridtwin.feeder import (
     build_feeder,
     flat_voltages,
     solve_power_flow,
+    solve_power_flows,
     state_to_voltages,
     voltages_to_state,
 )
 
-from conftest import partial_phase_spec, two_bus_oracle, z3
+from conftest import diverging_load, partial_phase_spec, two_bus_oracle, z3
 
 
 def minimal_spec(**overrides):
@@ -127,8 +130,13 @@ class TestPowerFlow:
 
     def test_overload_no_convergence(self, feeder8):
         feeder, nominal = feeder8
-        with pytest.raises(NoConvergence):
+        with pytest.raises(NoConvergence) as excinfo:
             solve_power_flow(feeder, nominal.scaled(100.0))
+        err = excinfo.value
+        assert type(err) is NoConvergence
+        assert str(err) == ("power flow did not reach tol=1e-08 in 100 sweeps "
+                            f"(mismatch {err.mismatch:.3e})")
+        assert err.iterations == 100
 
     def test_monotone_voltage_under_extra_load(self, feeder8):
         feeder, nominal = feeder8
@@ -148,6 +156,75 @@ class TestPowerFlow:
             solve_power_flow(feeder, LoadScenario({("b1", "a"): 0.1}))
         with pytest.raises(InvalidLoad):
             solve_power_flow(feeder, LoadScenario({("b2", "a"): complex("nan")}))
+
+
+def _lone(feeder, loads, **kw):
+    """The solution of one scenario, or the NoConvergence it raises."""
+    try:
+        return solve_power_flow(feeder, loads, **kw)
+    except NoConvergence as exc:
+        return exc
+
+
+class TestBatchedPowerFlow:
+    @staticmethod
+    def assert_columns_are_lone_solves(feeder, profiles, **kw):
+        batch = solve_power_flows(feeder, profiles, **kw)
+        assert batch.v.shape == (feeder.n_nodes, len(profiles))
+        for t, loads in enumerate(profiles):
+            lone = solve_power_flow(feeder, loads, **kw)
+            assert batch.v[:, t].tobytes() == lone.v.tobytes()
+            assert batch.iterations[t] == lone.iterations
+            assert batch.mismatch[t] == lone.mismatch
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-12])
+    def test_columns_equal_lone_solves_on_daily_profiles(self, feeder8, daily8, tol):
+        feeder, _ = feeder8
+        self.assert_columns_are_lone_solves(feeder, daily8, tol=tol)
+
+    def test_columns_equal_lone_solves_on_partial_phases(self):
+        feeder = build_feeder(partial_phase_spec())
+        rng = np.random.default_rng(4)
+        nodes = [n for n in feeder.phase_nodes if n[0] != feeder.slack_bus]
+        profiles = [LoadScenario({n: complex(*rng.uniform(0, [0.3, 0.1])) for n in nodes})
+                    for _ in range(60)]
+        self.assert_columns_are_lone_solves(feeder, profiles)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_lowest_failing_step_is_named(self, feeder8):
+        # Step 1 runs out of sweeps at sweep 3; step 2 diverges at sweep 1.
+        feeder, nominal = feeder8
+        profiles = [LoadScenario.zero(), nominal, diverging_load(feeder, nominal)]
+        lone = _lone(feeder, nominal, max_iter=3)
+        assert isinstance(_lone(feeder, profiles[2], max_iter=3), NoConvergence)
+        with pytest.raises(NoConvergence) as excinfo:
+            solve_power_flows(feeder, profiles, max_iter=3)
+        err = excinfo.value
+        assert (err.step, str(err)) == (1, str(lone))
+        assert (err.iterations, err.mismatch) == (3, lone.mismatch)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_step_is_named_when_lowest(self, feeder8):
+        feeder, nominal = feeder8
+        profiles = [LoadScenario.zero(), diverging_load(feeder, nominal), nominal]
+        with pytest.raises(NoConvergence) as excinfo:
+            solve_power_flows(feeder, profiles, max_iter=3)
+        err = excinfo.value
+        assert str(err) == "power flow diverged after 1 sweeps"
+        assert (err.step, err.iterations, err.mismatch) == (1, 1, None)
+
+    def test_diverging_step_adds_no_warnings(self, feeder8):
+        feeder, nominal = feeder8
+        bad = diverging_load(feeder, nominal)
+        with warnings.catch_warnings(record=True) as lone:
+            warnings.simplefilter("always")
+            _lone(feeder, bad)
+        with warnings.catch_warnings(record=True) as batch:
+            warnings.simplefilter("always")
+            with pytest.raises(NoConvergence):
+                solve_power_flows(feeder, [nominal, bad, nominal])
+        assert lone
+        assert [str(w.message) for w in batch] == [str(w.message) for w in lone]
 
 
 class TestAdmittance:

@@ -10,7 +10,14 @@ from gridtwin.errors import (
     UnknownChannelTarget,
     UnparseableNumber,
 )
-from gridtwin.feeder import LoadScenario, admittance_matrix, flat_voltages
+from gridtwin.feeder import (
+    LoadScenario,
+    admittance_matrix,
+    flat_voltages,
+    solve_power_flow,
+    solve_power_flows,
+    voltages_to_state,
+)
 from gridtwin.model import ModelConfig, build_windows
 from gridtwin.telemetry import (
     Channel,
@@ -22,6 +29,7 @@ from gridtwin.telemetry import (
     export_csv,
     import_csv,
     measure,
+    measure_many,
 )
 
 from conftest import two_bus_oracle
@@ -97,6 +105,14 @@ class TestMeasure:
                 assert z[j] == pytest.approx(-nominal.s[(ch.bus, ch.phase)].real, abs=1e-8)
             elif ch.kind == "Q_injection":
                 assert z[j] == pytest.approx(-nominal.s[(ch.bus, ch.phase)].imag, abs=1e-8)
+
+    def test_measure_many_columns_equal_measure(self, feeder8, schema8, daily8):
+        feeder, _ = feeder8
+        y = admittance_matrix(feeder)
+        vm = solve_power_flows(feeder, daily8).v
+        zm = measure_many(vm, y, schema8)
+        for t in range(vm.shape[1]):
+            assert zm[:, t].tobytes() == measure(vm[:, t].copy(), y, schema8).tobytes()
 
 
 class TestNoise:
@@ -205,11 +221,30 @@ class TestDataset:
         assert ds.split_index == 32
 
     def test_divergent_step_index_surfaced(self, feeder8, schema8):
+        # The lowest failing step is named, with the lone solve's diagnostics.
         feeder, nominal = feeder8
-        profiles = [nominal, nominal, nominal.scaled(100.0)]
+        profiles = [nominal, nominal, nominal.scaled(100.0), nominal.scaled(100.0)]
+        with pytest.raises(NoConvergence) as lone:
+            solve_power_flow(feeder, profiles[2])
         with pytest.raises(NoConvergence) as excinfo:
             build_dataset(feeder, profiles, schema8, seed=3)
-        assert excinfo.value.step == 2
+        err = excinfo.value
+        assert err.step == 2
+        assert str(err) == f"power flow failed at step 2: {lone.value}"
+        assert (err.iterations, err.mismatch) == (100, lone.value.mismatch)
+
+    def test_equals_per_step_reference(self, feeder8, schema8, daily8):
+        feeder, _ = feeder8
+        y = admittance_matrix(feeder)
+        x_rows, z_rows = [], []
+        for t, loads in enumerate(daily8):
+            v = solve_power_flow(feeder, loads).v
+            x_rows.append(voltages_to_state(feeder, v))
+            z_rows.append(add_noise(measure(v, y, schema8), schema8, rng_seed=(5, t)))
+        ds = build_dataset(feeder, daily8, schema8, seed=5)
+        assert ds.x.tobytes() == np.array(x_rows).tobytes()
+        assert ds.z.tobytes() == np.array(z_rows).tobytes()
+        assert ds.x.flags.c_contiguous and ds.z.flags.c_contiguous
 
     def test_normalization_stats_train_split_only(self, feeder8, schema8):
         feeder, nominal = feeder8

@@ -94,6 +94,24 @@ class TestEstimate:
         with pytest.raises(ValueError, match="mask shape"):
             WlsProblem.from_schema(schema8, y, z, mask=np.zeros(shape, dtype=bool))
 
+    @pytest.mark.parametrize("shape", [(48,), (68,), (2, 58)])
+    @pytest.mark.parametrize("solve", [estimate_wls, feasibility_check])
+    def test_mask_shape_checked_on_direct_construction(self, schema8, noiseless8, shape, solve):
+        y, z = noiseless8
+        problem = WlsProblem(schema=schema8, Y=y, z=z, weights=schema8.weights,
+                             mask=np.zeros(shape, dtype=bool))
+        with pytest.raises(ValueError, match="mask shape"):
+            solve(problem)
+
+    def test_redundancy_ratio_counts_kept_rows(self, schema8, noiseless8):
+        y, z = noiseless8
+        mask = np.zeros(len(schema8), dtype=bool)
+        mask[:10] = True
+        problem = WlsProblem.from_schema(schema8, y, z, mask=mask)
+        assert problem.redundancy_ratio == 48 / 42
+        assert problem.redundancy_ratio == drop_missing(problem).redundancy_ratio
+        assert WlsProblem.from_schema(schema8, y, z).redundancy_ratio == 58 / 42
+
     def test_rank_deficient_after_heavy_masking(self, schema8, noiseless8):
         y, z = noiseless8
         # keep too few rows to determine 42 states
