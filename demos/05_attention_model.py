@@ -25,16 +25,15 @@ rng = np.random.default_rng(0)
 params = M._gqa("demo", 8, 4, 2, rng)
 x = rng.normal(size=(6, 8))
 
-counters = {}
-out = M.gqa_attention(ad.Tape().constant(x), params, heads=4, groups=2, counters=counters)
-print(f"GQA: 4 query heads share {counters['k_projections']} key projections "
-      f"and {counters['v_projections']} value projections (standard attention needs 4+4)")
+out = M.gqa_attention(ad.Tape().constant(x), params, heads=4, groups=2)
+print(f"GQA: 4 query heads share keys of width {params.wk.value.shape[1]} and values of "
+      f"width {params.wv.value.shape[1]}: one 2-wide projection per group (standard "
+      "attention needs one per head, width 8)")
 
 # with one group per head the same weights reproduce standard MHA exactly
 full = M._gqa("full", 8, 4, 4, rng)
-counters = {}
-ref = M.mha_attention(ad.Tape().constant(x), full, heads=4, counters=counters)
-print(f"MHA reference uses {counters['k_projections']}+{counters['v_projections']}; "
+ref = M.mha_attention(ad.Tape().constant(x), full, heads=4)
+print(f"MHA reference projects keys of width {full.wk.value.shape[1]}; "
       "grouping with G=H reproduces it bit for bit:",
       np.array_equal(
           M.gqa_attention(ad.Tape().constant(x), full, heads=4, groups=4).value,

@@ -72,22 +72,6 @@ class Tensor:
     def shape(self):
         return self.value.shape
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, other)
-
-    __rmul__ = __mul__
-
     def __repr__(self):
         return f"Tensor(idx={self.idx}, shape={self.shape})"
 
@@ -468,7 +452,7 @@ _BACKWARD = {
     "attention": _back_attention,
 }
 
-# name -> callable, for generic dispatch and op-sweep tests
+# name -> callable, for op-sweep tests
 OPS = {
     "matmul": matmul,
     "add": add,
@@ -486,13 +470,6 @@ OPS = {
     "linear": linear,
     "attention": attention,
 }
-
-
-def forward(op_kind, *inputs, **kwargs):
-    """Generic dispatch into the op table."""
-    if op_kind not in OPS:
-        raise ValueError(f"unknown op {op_kind!r}")
-    return OPS[op_kind](*inputs, **kwargs)
 
 
 def grad_check(f, x, step=1e-5):
@@ -634,7 +611,7 @@ def load_params(path):
     """Read a checkpoint; returns ({name: array}, extra)."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    if payload.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a parameter checkpoint")
     if payload.get("format_version") != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version")

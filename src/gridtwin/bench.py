@@ -96,35 +96,12 @@ class ExperimentConfig:
         return self
 
     def to_dict(self):
-        return {
-            "format_version": CONFIG_FORMAT_VERSION,
-            "feeder": self.feeder,
-            "steps": self.steps,
-            "train_fraction": self.train_fraction,
-            "profile": {
-                "seed": self.profile_seed,
-                "day_steps": self.day_steps,
-                "amplitude": self.amplitude,
-                "jitter": self.jitter,
-            },
-            "noise_seed": self.noise_seed,
-            "schema": {
-                "power_sigma": self.power_sigma,
-                "vmag_sigma": self.vmag_sigma,
-                "vang_sigma": self.vang_sigma,
-                "train_alpha": self.train_alpha,
-                "vmag_buses": list(self.vmag_buses),
-                "vang_nodes": list(self.vang_nodes),
-            },
-            "model": dict(self.model),
-            "evaluation": {
-                "alphas": list(self.alphas),
-                "seeds": list(self.seeds),
-                "wls_failure_seeds": self.wls_failure_seeds,
-                "timeseries_node": self.timeseries_node,
-            },
-            "output_dir": self.output_dir,
-        }
+        out = {"format_version": CONFIG_FORMAT_VERSION}
+        for section, key, name, parse in CONFIG_LAYOUT:
+            value = parse(getattr(self, name))
+            target = out.setdefault(section, {}) if section else out
+            target[key] = list(value) if isinstance(value, tuple) else value
+        return out
 
     @classmethod
     def from_dict(cls, raw):
@@ -133,39 +110,18 @@ class ExperimentConfig:
             version = raw.pop("format_version", CONFIG_FORMAT_VERSION)
             if version != CONFIG_FORMAT_VERSION:
                 raise ConfigError(f"unsupported config format_version {version!r}")
-            profile = dict(raw.pop("profile", {}) or {})
-            schema = dict(raw.pop("schema", {}) or {})
-            evaluation = dict(raw.pop("evaluation", {}) or {})
-            known = {
-                "feeder": raw.pop("feeder", cls.feeder),
-                "steps": int(raw.pop("steps", cls.steps)),
-                "train_fraction": float(raw.pop("train_fraction", cls.train_fraction)),
-                "profile_seed": int(profile.pop("seed", cls.profile_seed)),
-                "day_steps": int(profile.pop("day_steps", cls.day_steps)),
-                "amplitude": float(profile.pop("amplitude", cls.amplitude)),
-                "jitter": float(profile.pop("jitter", cls.jitter)),
-                "noise_seed": int(raw.pop("noise_seed", cls.noise_seed)),
-                "power_sigma": float(schema.pop("power_sigma", cls.power_sigma)),
-                "vmag_sigma": float(schema.pop("vmag_sigma", cls.vmag_sigma)),
-                "vang_sigma": float(schema.pop("vang_sigma", cls.vang_sigma)),
-                "train_alpha": float(schema.pop("train_alpha", cls.train_alpha)),
-                "vmag_buses": tuple(schema.pop("vmag_buses", cls.vmag_buses)),
-                "vang_nodes": tuple(schema.pop("vang_nodes", cls.vang_nodes)),
-                "model": dict(raw.pop("model", {}) or {}),
-                "alphas": tuple(float(a) for a in evaluation.pop("alphas", cls.alphas)),
-                "seeds": tuple(int(s) for s in evaluation.pop("seeds", cls.seeds)),
-                "wls_failure_seeds": int(evaluation.pop("wls_failure_seeds",
-                                                        cls.wls_failure_seeds)),
-                "timeseries_node": str(evaluation.pop("timeseries_node", cls.timeseries_node)),
-                "output_dir": str(raw.pop("output_dir", cls.output_dir)),
-            }
+            raw.pop("name", None)
+            given = {None: raw}
+            for section in CONFIG_SECTIONS:
+                given[section] = dict(raw.pop(section, {}) or {})
+            known = {name: parse(given[section].pop(key))
+                     for section, key, name, parse in CONFIG_LAYOUT if key in given[section]}
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"unparseable config value: {exc}") from None
-        raw.pop("name", None)
-        for section, rest in (("config", raw), ("profile", profile), ("schema", schema),
-                              ("evaluation", evaluation)):
+        for section, rest in given.items():
             if rest:
-                raise ConfigError(f"unknown {section} keys: {sorted(map(str, rest))}")
+                raise ConfigError(f"unknown {section or 'config'} keys: "
+                                  f"{sorted(map(str, rest))}")
         return cls(**known).validate()
 
     @classmethod
@@ -182,6 +138,34 @@ class ExperimentConfig:
     def echo(self, path):
         with open(path, "w", encoding="utf-8") as fh:
             yaml.safe_dump(self.to_dict(), fh, sort_keys=False)
+
+
+# The config file layout in echo order: (section, or None for the top level,
+# key, ExperimentConfig field, parser). from_dict parses each given key, and
+# to_dict writes each field through its parser, tuples as lists.
+CONFIG_LAYOUT = (
+    (None, "feeder", "feeder", str),
+    (None, "steps", "steps", int),
+    (None, "train_fraction", "train_fraction", float),
+    ("profile", "seed", "profile_seed", int),
+    ("profile", "day_steps", "day_steps", int),
+    ("profile", "amplitude", "amplitude", float),
+    ("profile", "jitter", "jitter", float),
+    (None, "noise_seed", "noise_seed", int),
+    ("schema", "power_sigma", "power_sigma", float),
+    ("schema", "vmag_sigma", "vmag_sigma", float),
+    ("schema", "vang_sigma", "vang_sigma", float),
+    ("schema", "train_alpha", "train_alpha", float),
+    ("schema", "vmag_buses", "vmag_buses", tuple),
+    ("schema", "vang_nodes", "vang_nodes", tuple),
+    (None, "model", "model", lambda v: dict(v or {})),
+    ("evaluation", "alphas", "alphas", lambda v: tuple(map(float, v))),
+    ("evaluation", "seeds", "seeds", lambda v: tuple(map(int, v))),
+    ("evaluation", "wls_failure_seeds", "wls_failure_seeds", int),
+    ("evaluation", "timeseries_node", "timeseries_node", str),
+    (None, "output_dir", "output_dir", str),
+)
+CONFIG_SECTIONS = tuple(dict.fromkeys(section for section, *_ in CONFIG_LAYOUT if section))
 
 
 def resolve_feeder(config):
@@ -363,19 +347,26 @@ def write_metrics_csv(path, rows):
     _write_csv(path, METRICS_HEADER, map(_metrics_record, rows))
 
 
-def read_metrics_csv(path):
+def _read_csv(path, parse):
+    """parse(header, records) of a CSV, blank lines left out; a ConfigError
+    when the file does not parse."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = []
-        for rec in reader:
-            rows.append({
-                "method": rec["method"],
-                "alpha": float(rec["alpha"]),
-                "seed": int(rec["seed"]),
-                "metric": rec["metric"],
-                "value": float(rec["value"]),
-            })
-    return rows
+        header, *records = list(csv.reader(fh)) or [[]]
+    try:
+        return parse(header, [r for r in records if r])
+    except (IndexError, ValueError) as exc:
+        raise ConfigError(f"{path}: unreadable CSV: {exc}") from None
+
+
+def read_metrics_csv(path):
+    def parse(header, records):
+        if header != METRICS_HEADER:
+            raise ValueError(f"header {header} is not {METRICS_HEADER}")
+        return [{"method": method, "alpha": float(alpha), "seed": int(seed),
+                 "metric": metric, "value": float(value)}
+                for method, alpha, seed, metric, value in records]
+
+    return _read_csv(path, parse)
 
 
 def write_summary_csv(path, rows):
@@ -392,12 +383,12 @@ def write_timeseries_csv(path, steps, columns):
 
 
 def read_timeseries_csv(path):
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    header, data = rows[0], rows[1:]
-    steps = [int(r[0]) for r in data]
-    columns = [(label, [float(r[i + 1]) for r in data]) for i, label in enumerate(header[1:])]
-    return steps, columns
+    def parse(header, records):
+        steps = [int(r[0]) for r in records]
+        return steps, [(label, [float(r[i + 1]) for r in records])
+                       for i, label in enumerate(header[1:])]
+
+    return _read_csv(path, parse)
 
 
 def sweep_svg(path, rows):

@@ -15,6 +15,7 @@ from .bench import (
     METHOD_DT,
     METHOD_WLS,
     ExperimentConfig,
+    emit_report,
     evaluate_grid,
     evaluate_model,
     evaluate_wls,
@@ -24,21 +25,21 @@ from .bench import (
     read_metrics_csv,
     read_timeseries_csv,
     run_sweep,
-    timeseries_svg,
     write_history_csv,
-    write_metrics_csv,
     write_summary_csv,
-    sweep_svg,
 )
 from .errors import (
     ConfigError,
     GridTwinError,
+    HeaderMismatch,
     NoConvergence,
     NonFiniteLoss,
     NonFiniteValue,
+    RaggedRows,
     RankDeficient,
+    UnparseableNumber,
 )
-from .model import ConcatBaselineModel, DtModel, train
+from .model import Estimator, train
 from .telemetry import export_csv
 
 EXIT_OK = 0
@@ -118,15 +119,6 @@ def cmd_train(args):
     return EXIT_OK
 
 
-def _load_model(path):
-    from .autodiff import load_params
-
-    _, extra = load_params(path)
-    kind = extra.get("model_kind", "dt")
-    cls = ConcatBaselineModel if kind == "concat_baseline" else DtModel
-    return cls.load(path)
-
-
 def cmd_eval(args):
     config = _load_config(args)
     out = _out_dir(config)
@@ -134,7 +126,14 @@ def cmd_eval(args):
     checkpoint = args.checkpoint or (out / "checkpoint.json")
     if not Path(checkpoint).exists():
         raise ConfigError(f"checkpoint not found: {checkpoint}")
-    model = _load_model(checkpoint)
+    model = Estimator.load(checkpoint)
+    # Checkpoints hold channel positions, not names: a reordering of channels
+    # of one kind passes this check.
+    want = model_config(config, dataset)
+    if any(getattr(model.config, k) != getattr(want, k)
+           for k in ("power_channels", "voltage_channels", "n_states")):
+        raise ConfigError(f"checkpoint {checkpoint} was trained on another channel layout "
+                          "or state count than this dataset has")
 
     def point(alpha, seed):
         metrics, _, _ = evaluate_model(model, dataset, alpha, seed)
@@ -182,16 +181,12 @@ def cmd_report(args):
     if not metrics_path.exists():
         raise ConfigError(f"metrics file not found: {metrics_path}")
     rows = read_metrics_csv(metrics_path)
-    out = Path(args.out or metrics_path.parent)
-    out.mkdir(parents=True, exist_ok=True)
-    write_metrics_csv(out / "metrics.csv", rows)
-    write_summary_csv(out / "summary.csv", rows)
-    if rows:
-        sweep_svg(out / "sweep.svg", rows)
     ts_path = metrics_path.parent / "timeseries.csv"
+    timeseries = None
     if ts_path.exists():
-        steps, columns = read_timeseries_csv(ts_path)
-        timeseries_svg(out / "timeseries.svg", args.node or "node", steps, columns)
+        timeseries = (args.node or "node", *read_timeseries_csv(ts_path))
+    out = Path(args.out or metrics_path.parent)
+    emit_report(rows, out, timeseries=timeseries)
     print(f"report written to {out}")
     return EXIT_OK
 
@@ -249,7 +244,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, HeaderMismatch, RaggedRows, UnparseableNumber) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NoConvergence, NonFiniteLoss, RankDeficient, NonFiniteValue) as exc:

@@ -177,10 +177,7 @@ def _block(nodes):
 
 
 def _canonical_phases(raw):
-    if isinstance(raw, str):
-        phases = tuple(raw)
-    else:
-        phases = tuple(raw)
+    phases = tuple(raw)
     if not phases:
         raise FeederError("bus must have at least one phase")
     if len(set(phases)) != len(phases) or any(p not in _PHASE_POS for p in phases):

@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass, fields, is_dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import NonFiniteLoss, NonFiniteValue, ShapeMismatch
+from .errors import ConfigError, NonFiniteLoss, NonFiniteValue, ShapeMismatch
 from .telemetry import draw_mask
 
 
@@ -168,26 +168,22 @@ def project_branch(tape, z_values, lin, pos=None):
     return out
 
 
-def gqa_attention(x, params, heads, groups, counters=None):
+def gqa_attention(x, params, heads, groups):
     """Grouped-query attention over the time axis, with residual.
 
-    Keys/values are projected once per group (instrumented via counters
-    'k_projections'/'v_projections') and shared by heads // groups query
-    heads each. Scores follow softmax(Q K^T / sqrt(d_head)) V per head;
-    heads are concatenated, output-projected, and added back onto x. The
-    whole block is one fused tape op (autodiff.attention); x may carry
-    leading batch axes, (..., T, d).
+    Keys/values are projected once per group, so wk and wv are
+    (d, groups * d_head), and shared by heads // groups query heads each.
+    Scores follow softmax(Q K^T / sqrt(d_head)) V per head; heads are
+    concatenated, output-projected, and added back onto x. The whole block
+    is one fused tape op (autodiff.attention); x may carry leading batch
+    axes, (..., T, d).
     """
     tape = x.tape
-    out = ad.attention(x, tape.watch(params.wq), tape.watch(params.wk),
-                       tape.watch(params.wv), tape.watch(params.wo), heads, groups)
-    if counters is not None:
-        counters["k_projections"] = counters.get("k_projections", 0) + groups
-        counters["v_projections"] = counters.get("v_projections", 0) + groups
-    return out
+    return ad.attention(x, tape.watch(params.wq), tape.watch(params.wk),
+                        tape.watch(params.wv), tape.watch(params.wo), heads, groups)
 
 
-def mha_attention(x, params, heads, counters=None):
+def mha_attention(x, params, heads):
     """Standard multi-head attention reference: keys/values per head.
 
     Built from primitive tape ops, one slice, product and softmax per head,
@@ -206,9 +202,6 @@ def mha_attention(x, params, heads, counters=None):
         lo, hi = h * d_head, (h + 1) * d_head
         k = ad.matmul(x, ad.slice_lastdim(wk, lo, hi))
         v = ad.matmul(x, ad.slice_lastdim(wv, lo, hi))
-        if counters is not None:
-            counters["k_projections"] = counters.get("k_projections", 0) + 1
-            counters["v_projections"] = counters.get("v_projections", 0) + 1
         q = ad.slice_lastdim(q_full, lo, hi)
         scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(d_head))
         attn = ad.row_softmax(scores)
@@ -248,11 +241,80 @@ def mse_loss(pred, targets):
     return ad.mean_all(ad.square(ad.sub(pred, t)))
 
 
-class DtModel:
-    """Two-branch interactive attention model; all parameters float64."""
+class Estimator:
+    """Plumbing the two estimators share: the parameter walk, its count and
+    the checkpoint. `kind` names the class in a checkpoint's `model_kind`.
+    Each class keeps its own `forward_window` and `save` (and the ablation its
+    `estimate_voltages`) in its class body, where perfbench wraps them."""
+
+    kind = None
 
     def __init__(self, config):
         self.config = config
+        self.pos = (positional_table(config.window, config.d)
+                    if config.positional_encoding else None)
+
+    def parameters(self):
+        """Every Parameter of `layers()` in order; this order is the
+        checkpoint's."""
+        params = []
+
+        def collect(obj):
+            if isinstance(obj, ad.Parameter):
+                params.append(obj)
+            elif is_dataclass(obj):
+                for f in fields(obj):
+                    collect(getattr(obj, f.name))
+
+        for layer in self.layers():
+            collect(layer)
+        return params
+
+    def param_count(self):
+        return sum(p.value.size for p in self.parameters())
+
+    def estimate_voltages(self, window):
+        """Forward pass over one window or a batch; returns (..., T, n) estimates."""
+        return self.forward_window(ad.InferenceTape(), window).value
+
+    def save(self, path):
+        extra = {"model_kind": self.kind, "model_config": asdict(self.config)}
+        ad.save_params(path, self.parameters(), extra=extra)
+
+    @classmethod
+    def load(cls, path):
+        """The model a checkpoint holds, of the class its `model_kind` names,
+        which must be `cls` or a subclass. A file that is no checkpoint of
+        such a model is a ConfigError."""
+        try:
+            arrays, extra = ad.load_params(path)
+            kind = extra.get("model_kind", DtModel.kind)
+            model_cls = {c.kind: c for c in Estimator.__subclasses__()}.get(kind)
+            if model_cls is None or not issubclass(model_cls, cls):
+                raise ValueError(f"model_kind {kind!r} is not a {cls.__name__}")
+            raw = extra["model_config"]
+            config = ModelConfig(**{**raw, "power_channels": tuple(raw["power_channels"]),
+                                    "voltage_channels": tuple(raw["voltage_channels"])})
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: unusable checkpoint: {exc}") from None
+        model = model_cls(config)
+        for p in model.parameters():
+            value = arrays.get(p.name)
+            if value is None or value.shape != p.value.shape:
+                raise ConfigError(f"{path}: unusable checkpoint: parameter {p.name!r} is "
+                                  f"missing or not of shape {p.value.shape}")
+            p.value = value
+            ad.check_finite(p, "in the checkpoint")
+        return model
+
+
+class DtModel(Estimator):
+    """Two-branch interactive attention model; all parameters float64."""
+
+    kind = "dt"
+
+    def __init__(self, config):
+        super().__init__(config)
         rng = np.random.default_rng((config.seed, 0))
         d, d_ff = config.d, config.d_ff
         m_p, m_v = len(config.power_channels), len(config.voltage_channels)
@@ -275,33 +337,18 @@ class DtModel:
         self.out2 = _linear("out2", d, d, rng)
         self.head1 = _linear("head1", 2 * d, d_ff, rng)
         self.head2 = _linear("head2", d_ff, config.n_states, rng)
-        self.pos = positional_table(config.window, d) if config.positional_encoding else None
 
-    def parameters(self):
-        params = []
+    def layers(self):
+        return (self.proj1, self.proj2, *self.blocks, self.out1, self.out2,
+                self.head1, self.head2)
 
-        def collect(obj):
-            if isinstance(obj, ad.Parameter):
-                params.append(obj)
-            elif is_dataclass(obj):
-                for f in fields(obj):
-                    collect(getattr(obj, f.name))
-
-        for item in (self.proj1, self.proj2, *self.blocks, self.out1, self.out2,
-                     self.head1, self.head2):
-            collect(item)
-        return params
-
-    def param_count(self):
-        return sum(p.value.size for p in self.parameters())
-
-    def forward(self, tape, z_power, z_volt, counters=None):
+    def forward_window(self, tape, window):
         cfg = self.config
-        x1 = project_branch(tape, z_power, self.proj1, self.pos)
-        x2 = project_branch(tape, z_volt, self.proj2, self.pos)
+        x1 = project_branch(tape, window.z_power, self.proj1, self.pos)
+        x2 = project_branch(tape, window.z_volt, self.proj2, self.pos)
         for block in self.blocks:
-            a1 = gqa_attention(x1, block.branch1.attn, cfg.heads, cfg.groups, counters)
-            a2 = gqa_attention(x2, block.branch2.attn, cfg.heads, cfg.groups, counters)
+            a1 = gqa_attention(x1, block.branch1.attn, cfg.heads, cfg.groups)
+            a2 = gqa_attention(x2, block.branch2.attn, cfg.heads, cfg.groups)
             x1, x2 = cross_gate(a1, a2, block.branch1.gate, block.branch2.gate)
         o1 = affine(x1, self.out1)
         o2 = affine(x2, self.out2)
@@ -309,34 +356,20 @@ class DtModel:
         hidden = ad.relu(affine(merged, self.head1))
         return affine(hidden, self.head2)
 
-    def forward_window(self, tape, window, counters=None):
-        return self.forward(tape, window.z_power, window.z_volt, counters)
-
-    def estimate_voltages(self, window):
-        """Forward pass over one window or a batch; returns (..., T, n) estimates."""
-        return self.forward_window(ad.InferenceTape(), window).value
-
-    def save(self, path):
-        extra = {"model_kind": "dt", "model_config": asdict(self.config)}
-        ad.save_params(path, self.parameters(), extra=extra)
-
-    @classmethod
-    def load(cls, path):
-        arrays, extra = ad.load_params(path)
-        model = cls(_config_from_dict(extra["model_config"]))
-        _assign(model.parameters(), arrays)
-        return model
+    save = Estimator.save
 
 
-class ConcatBaselineModel:
+class ConcatBaselineModel(Estimator):
     """Single-vector ablation: all channels concatenated into one branch.
 
     One linear projection, the same attention stack (no cross-gating), one
     output projection, and the same two-layer head.
     """
 
+    kind = "concat_baseline"
+
     def __init__(self, config):
-        self.config = config
+        super().__init__(config)
         rng = np.random.default_rng((config.seed, 0))
         d, d_ff = config.d, config.d_ff
         m = len(config.power_channels) + len(config.voltage_channels)
@@ -348,64 +381,22 @@ class ConcatBaselineModel:
         self.out = _linear("ab.out", d, d, rng)
         self.head1 = _linear("ab.head1", d, d_ff, rng)
         self.head2 = _linear("ab.head2", d_ff, config.n_states, rng)
-        self.pos = positional_table(config.window, d) if config.positional_encoding else None
 
-    def parameters(self):
-        params = []
-        for lin in (self.proj, self.out, self.head1, self.head2):
-            params.extend([lin.w, lin.b])
-        for blk in self.blocks:
-            params.extend([blk.wq, blk.wk, blk.wv, blk.wo])
-        return params
+    def layers(self):
+        return (self.proj, self.out, self.head1, self.head2, *self.blocks)
 
-    def param_count(self):
-        return sum(p.value.size for p in self.parameters())
-
-    def forward(self, tape, z_power, z_volt, counters=None):
+    def forward_window(self, tape, window):
         cfg = self.config
-        z = np.concatenate([z_power, z_volt], axis=-1)
+        z = np.concatenate([window.z_power, window.z_volt], axis=-1)
         x = project_branch(tape, z, self.proj, self.pos)
         for blk in self.blocks:
-            x = gqa_attention(x, blk, cfg.heads, cfg.groups, counters)
+            x = gqa_attention(x, blk, cfg.heads, cfg.groups)
         o = affine(x, self.out)
         hidden = ad.relu(affine(o, self.head1))
         return affine(hidden, self.head2)
 
-    def forward_window(self, tape, window, counters=None):
-        return self.forward(tape, window.z_power, window.z_volt, counters)
-
-    def estimate_voltages(self, window):
-        """Forward pass over one window or a batch; returns (..., T, n) estimates."""
-        return self.forward_window(ad.InferenceTape(), window).value
-
-    def save(self, path):
-        extra = {"model_kind": "concat_baseline", "model_config": asdict(self.config)}
-        ad.save_params(path, self.parameters(), extra=extra)
-
-    @classmethod
-    def load(cls, path):
-        arrays, extra = ad.load_params(path)
-        model = cls(_config_from_dict(extra["model_config"]))
-        _assign(model.parameters(), arrays)
-        return model
-
-
-def _config_from_dict(raw):
-    raw = dict(raw)
-    raw["power_channels"] = tuple(raw["power_channels"])
-    raw["voltage_channels"] = tuple(raw["voltage_channels"])
-    return ModelConfig(**raw)
-
-
-def _assign(params, arrays):
-    for p in params:
-        if p.name not in arrays:
-            raise ValueError(f"checkpoint is missing parameter {p.name!r}")
-        value = arrays[p.name]
-        if value.shape != p.value.shape:
-            raise ValueError(f"parameter {p.name!r}: shape {value.shape} != {p.value.shape}")
-        p.value = value
-        ad.check_finite(p, "in the checkpoint")
+    estimate_voltages = Estimator.estimate_voltages
+    save = Estimator.save
 
 
 def build_windows(dataset, t_ends, masks, config):

@@ -233,18 +233,19 @@ class Dataset:
         return (rows - self.norm_mean) / self.norm_std
 
 
-def _norm_stats(z, mask, split_index):
-    mean = np.empty(z.shape[1])
-    std = np.empty(z.shape[1])
+def _assemble(schema, z, mask, x, state_labels, train_fraction):
+    """Dataset of measurement and state arrays: the split index, and the
+    normalization stats of each channel from the unmasked training entries."""
+    split_index = max(1, int(round(train_fraction * len(z))))
+    mean, std = np.zeros(z.shape[1]), np.ones(z.shape[1])
     for j in range(z.shape[1]):
         col = z[:split_index, j][~mask[:split_index, j]]
-        if col.size == 0:
-            mean[j], std[j] = 0.0, 1.0
-            continue
-        mean[j] = col.mean()
-        sj = col.std()
-        std[j] = sj if sj > 1e-12 else 1.0  # constant channel: leave scale alone
-    return mean, std
+        if col.size:
+            mean[j] = col.mean()
+            sj = col.std()
+            std[j] = sj if sj > 1e-12 else 1.0  # constant channel: leave scale alone
+    return Dataset(schema=schema, z=z, mask=mask, x=x, state_labels=state_labels,
+                   split_index=split_index, norm_mean=mean, norm_std=std)
 
 
 def build_dataset(feeder, load_profiles, schema, seed, train_fraction=0.8):
@@ -270,52 +271,53 @@ def build_dataset(feeder, load_profiles, schema, seed, train_fraction=0.8):
     x = np.ascontiguousarray(voltages_to_state(feeder, v).T)
     z_clean = measure_many(v, admittance_matrix(feeder), schema).T
     z = np.array([add_noise(row, schema, rng_seed=(seed, t)) for t, row in enumerate(z_clean)])
-    mask = np.zeros(z.shape, dtype=bool)
-    split_index = max(1, int(round(train_fraction * z.shape[0])))
-    mean, std = _norm_stats(z, mask, split_index)
-    return Dataset(
-        schema=schema,
-        z=z,
-        mask=mask,
-        x=x,
-        state_labels=feeder.state_labels(),
-        split_index=split_index,
-        norm_mean=mean,
-        norm_std=std,
-    )
+    return _assemble(schema, z, np.zeros(z.shape, dtype=bool), x, feeder.state_labels(),
+                     train_fraction)
 
 
-def _fmt(value):
-    return repr(float(value))
+def _write_table(path, header, values, blank):
+    """CSV of `header` and one row per row of `values`; floats in shortest
+    round-trip form, so _read_table gets them back bit for bit, and blanks
+    where `blank` is True."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(["" if b else repr(float(v)) for v, b in zip(row, gaps)]
+                         for row, gaps in zip(values, blank))
 
 
 def export_csv(dataset, measurements_path, states_path):
-    """Write measurement and state CSVs; masked cells become blanks.
-
-    Floats are written in shortest round-trip form, so export/import is
-    lossless.
-    """
-    with open(measurements_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(dataset.schema.names)
-        for t in range(dataset.n_steps):
-            writer.writerow(
-                "" if dataset.mask[t, j] else _fmt(dataset.z[t, j])
-                for j in range(dataset.n_channels)
-            )
-    with open(states_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(dataset.state_labels)
-        for t in range(dataset.n_steps):
-            writer.writerow(_fmt(v) for v in dataset.x[t])
+    """Write measurement and state CSVs; masked cells become blanks, and
+    export/import is lossless."""
+    _write_table(measurements_path, dataset.schema.names, dataset.z, dataset.mask)
+    _write_table(states_path, dataset.state_labels, dataset.x, np.zeros(dataset.x.shape, bool))
 
 
-def _read_rows(path):
+def _read_table(path, header, what, blanks=False):
+    """(values, blank) of a CSV whose first row must equal `header`: every
+    row has one cell per header entry, and every cell is a float, or, with
+    `blanks`, empty (a True in `blank`, 0.0 in `values`)."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise HeaderMismatch(f"{path}: empty file")
-    return rows[0], rows[1:]
+    if tuple(rows[0]) != tuple(header):
+        raise HeaderMismatch(f"{path}: header does not match {what}")
+    n = len(header)
+    values = np.zeros((len(rows) - 1, n))
+    blank = np.zeros(values.shape, dtype=bool)
+    for t, row in enumerate(rows[1:]):
+        if len(row) != n:
+            raise RaggedRows(f"{path}: row {t} has {len(row)} cells, expected {n}")
+        for j, cell in enumerate(row):
+            if blanks and cell == "":
+                blank[t, j] = True
+                continue
+            try:
+                values[t, j] = float(cell)
+            except ValueError as exc:
+                raise UnparseableNumber(f"{path}: row {t} col {j}: {cell!r}") from exc
+    return values, blank
 
 
 def import_csv(measurements_path, states_path, schema, train_fraction=0.8):
@@ -324,52 +326,10 @@ def import_csv(measurements_path, states_path, schema, train_fraction=0.8):
     Headers must match the schema channel names (and re:/im: state labels)
     exactly, including order. Blank measurement cells become masked entries.
     """
-    header, rows = _read_rows(measurements_path)
-    if tuple(header) != schema.names:
-        raise HeaderMismatch(f"{measurements_path}: header does not match schema channel order")
-    m = len(schema)
-    z = np.zeros((len(rows), m))
-    mask = np.zeros((len(rows), m), dtype=bool)
-    for t, row in enumerate(rows):
-        if len(row) != m:
-            raise RaggedRows(f"{measurements_path}: row {t} has {len(row)} cells, expected {m}")
-        for j, cell in enumerate(row):
-            if cell == "":
-                mask[t, j] = True
-            else:
-                try:
-                    z[t, j] = float(cell)
-                except ValueError as exc:
-                    raise UnparseableNumber(f"{measurements_path}: row {t} col {j}: {cell!r}") from exc
-
-    s_header, s_rows = _read_rows(states_path)
+    z, mask = _read_table(measurements_path, schema.names, "schema channel order",
+                          blanks=True)
     state_labels = schema.feeder.state_labels()
-    if tuple(s_header) != state_labels:
-        raise HeaderMismatch(f"{states_path}: header does not match the state layout")
-    if len(s_rows) != len(rows):
-        raise RaggedRows(
-            f"{states_path}: {len(s_rows)} state rows vs {len(rows)} measurement rows"
-        )
-    n = len(state_labels)
-    x = np.zeros((len(s_rows), n))
-    for t, row in enumerate(s_rows):
-        if len(row) != n:
-            raise RaggedRows(f"{states_path}: row {t} has {len(row)} cells, expected {n}")
-        for j, cell in enumerate(row):
-            try:
-                x[t, j] = float(cell)
-            except ValueError as exc:
-                raise UnparseableNumber(f"{states_path}: row {t} col {j}: {cell!r}") from exc
-
-    split_index = max(1, int(round(train_fraction * len(rows))))
-    mean, std = _norm_stats(z, mask, split_index)
-    return Dataset(
-        schema=schema,
-        z=z,
-        mask=mask,
-        x=x,
-        state_labels=state_labels,
-        split_index=split_index,
-        norm_mean=mean,
-        norm_std=std,
-    )
+    x, _ = _read_table(states_path, state_labels, "the state layout")
+    if len(x) != len(z):
+        raise RaggedRows(f"{states_path}: {len(x)} state rows vs {len(z)} measurement rows")
+    return _assemble(schema, z, mask, x, state_labels, train_fraction)

@@ -313,17 +313,16 @@ def _gauss_newton(problem, x0, tol, max_iter):
                          iterations=max_iter)
 
 
-def feasibility_check(problem, x0=None):
-    """Cheap observability probe at a single point (no iterations).
+def feasibility_check(problem):
+    """Cheap observability probe at the flat start (no iterations).
 
     Applies the same detection rule as the first iteration of estimate_wls
-    (row count, condition limit, Cholesky) to the Jacobian at x0. Returns
-    True when a Gauss-Newton step is well-posed.
+    (row count, condition limit, Cholesky) to the flat-start Jacobian.
+    Returns True when a Gauss-Newton step is well-posed.
     """
     keep = _prepare(problem)
     if isinstance(keep, RankDeficient):
         return False
-    model = MeasurementModel.of(problem.schema, problem.Y)
-    J = model.J_flat if x0 is None else model.jacobian(np.asarray(x0, dtype=float))
+    J = MeasurementModel.of(problem.schema, problem.Y).J_flat
     L = _normal_cholesky(_rows(J, keep), problem.weights[keep], iteration=1)
     return not isinstance(L, RankDeficient)

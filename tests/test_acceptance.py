@@ -190,9 +190,7 @@ def test_criterion_4_gqa():
     rng = np.random.default_rng(41)
     params = M._gqa("acc", 4, 2, 1, rng)
     x = rng.normal(size=(3, 4))
-    counters = {}
-    out = M.gqa_attention(ad.Tape().constant(x), params, heads=2, groups=1,
-                          counters=counters)
+    out = M.gqa_attention(ad.Tape().constant(x), params, heads=2, groups=1)
 
     def brute(xv, p, heads, groups):
         t_len, d = xv.shape
@@ -217,21 +215,19 @@ def test_criterion_4_gqa():
 
     oracle_err = float(np.max(np.abs(out.value - brute(x, params, 2, 1))))
     assert oracle_err < 1e-10
-    assert counters["k_projections"] == 1 and counters["v_projections"] == 1
+    assert params.wk.value.shape == params.wv.value.shape == (4, 1 * 2)
 
     params8 = M._gqa("acc8", 8, 4, 4, rng)
     x8 = rng.normal(size=(5, 8))
-    c_gqa, c_mha = {}, {}
-    out_gqa = M.gqa_attention(ad.Tape().constant(x8), params8, 4, 4, counters=c_gqa)
-    out_mha = M.mha_attention(ad.Tape().constant(x8), params8, 4, counters=c_mha)
+    out_gqa = M.gqa_attention(ad.Tape().constant(x8), params8, 4, 4)
+    out_mha = M.mha_attention(ad.Tape().constant(x8), params8, 4)
     assert np.array_equal(out_gqa.value, out_mha.value)
 
-    counters = {}
-    M.gqa_attention(ad.Tape().constant(x8), M._gqa("g2", 8, 4, 2, rng), 4, 2,
-                    counters=counters)
-    assert counters["k_projections"] == 2 == counters["v_projections"]
+    params2 = M._gqa("g2", 8, 4, 2, rng)
+    assert M.gqa_attention(ad.Tape().constant(x8), params2, 4, 2).shape == (5, 8)
+    assert params2.wk.value.shape == params2.wv.value.shape == (8, 2 * 2)
     announce(4, f"brute-force match {oracle_err:.1e}; G=H bit-identical to MHA; "
-                "K/V projections = G")
+                "K/V projection width = G x d_head")
 
 
 # --- criterion 5: gating algebra ------------------------------------------

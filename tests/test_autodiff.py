@@ -60,7 +60,7 @@ class TestForward:
 
     def test_generic_dispatch(self):
         tape = ad.Tape()
-        out = ad.forward("relu", tape.constant(np.array([-1.0, 2.0])))
+        out = ad.OPS["relu"](tape.constant(np.array([-1.0, 2.0])))
         assert np.array_equal(out.value, [0.0, 2.0])
 
     def test_concat_then_complementary_slice_is_identity(self):

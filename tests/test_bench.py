@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -78,6 +78,34 @@ class TestConfig:
         config.echo(path)
         back = ExperimentConfig.from_yaml(path)
         assert back.to_dict() == config.to_dict()
+
+    def test_layout_names_every_field_once(self):
+        names = [name for _, _, name, _ in bench.CONFIG_LAYOUT]
+        assert sorted(names) == sorted(f.name for f in fields(ExperimentConfig))
+        keys = [(section, key) for section, key, _, _ in bench.CONFIG_LAYOUT]
+        assert len(set(keys)) == len(keys)
+
+    def test_every_non_default_field_round_trips(self, tmp_path):
+        changed = dict(
+            feeder="feeder_2bus", steps=60, train_fraction=0.7, profile_seed=5, day_steps=24,
+            amplitude=0.3, jitter=0.02, noise_seed=9, power_sigma=0.02, vmag_sigma=0.002,
+            vang_sigma=0.003, train_alpha=0.1, vmag_buses=("b2",), vang_nodes=("b2:a",),
+            model={"d": 8, "heads": 2, "groups": 1, "window": 4, "optimizer": "adam"},
+            alphas=(0.0, 0.25), seeds=(3, 4), wls_failure_seeds=2, timeseries_node="b2:a",
+            output_dir=str(tmp_path / "elsewhere"))
+        assert set(changed) == {f.name for f in fields(ExperimentConfig)}
+        default = ExperimentConfig()
+        assert all(getattr(default, name) != value for name, value in changed.items())
+        config = ExperimentConfig(**changed)
+        path = tmp_path / "config.yaml"
+        config.echo(path)
+        back = ExperimentConfig.from_yaml(path)
+        assert back == config
+        assert [type(getattr(back, name)) for name in changed] == \
+            [type(value) for value in changed.values()]
+        assert list(back.to_dict()) == ["format_version", "feeder", "steps", "train_fraction",
+                                        "profile", "noise_seed", "schema", "model",
+                                        "evaluation", "output_dir"]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):

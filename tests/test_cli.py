@@ -120,12 +120,12 @@ class TestSweepDeterminism:
     def test_report_rebuild_matches(self, config_path, tmp_path):
         assert run_cli("sweep", "--config", str(config_path)).returncode == 0
         out = tmp_path / "out"
-        summary_first = (out / "summary.csv").read_bytes()
         rebuilt = tmp_path / "rebuilt"
         result = run_cli("report", "--metrics", str(out / "metrics.csv"),
                          "--out", str(rebuilt))
         assert result.returncode == 0, result.stderr
-        assert (rebuilt / "summary.csv").read_bytes() == summary_first
+        for name in ("metrics.csv", "summary.csv", "timeseries.csv"):
+            assert (rebuilt / name).read_bytes() == (out / name).read_bytes(), name
         assert (rebuilt / "sweep.svg").exists()
         assert (rebuilt / "timeseries.svg").exists()
 
@@ -195,3 +195,60 @@ class TestExitCodes:
         result = run_cli("sweep", "--config", str(path))
         assert result.returncode == 2
         assert "window" in result.stderr
+
+
+def assert_input_error(result, text):
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+    assert text in result.stderr
+
+
+class TestBadInputFiles:
+    def test_numeric_feeder_name(self, tmp_path):
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(dict(CONFIG, feeder=123, output_dir=str(tmp_path))))
+        assert_input_error(run_cli("gen", "--config", str(path)), "feeder fixture not found")
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"format": "something-else"}', "not a parameter checkpoint"),
+        ("not json at all", "unusable checkpoint"),
+        ('{"format": "gridtwin-params", "format_version": 1, "params": [],'
+         ' "extra": {"model_kind": "transformer"}}', "transformer"),
+    ], ids=["json-not-checkpoint", "not-json", "unknown-model-kind"])
+    def test_unusable_checkpoint(self, config_path, tmp_path, text, message):
+        checkpoint = tmp_path / "checkpoint.json"
+        checkpoint.write_text(text)
+        result = run_cli("eval", "--config", str(config_path), "--checkpoint", str(checkpoint))
+        assert_input_error(result, message)
+
+    def test_report_on_csv_without_metrics_header(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        path.write_text("a,b\n1,2\n")
+        assert_input_error(run_cli("report", "--metrics", str(path)), "header")
+
+    def test_report_on_unparseable_metrics_row(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        path.write_text("method,alpha,seed,metric,value\ndt,zero,0,mae_mag,1.0\n")
+        assert_input_error(run_cli("report", "--metrics", str(path)), "zero")
+
+    def test_imported_csv_with_bad_header(self, config_path, tmp_path):
+        assert run_cli("gen", "--config", str(config_path)).returncode == 0
+        out = tmp_path / "out"
+        states = out / "states.csv"
+        states.write_text("re:nowhere\n" + states.read_text().split("\n", 1)[1])
+        result = run_cli("train", "--config", str(config_path), "--measurements",
+                         str(out / "measurements.csv"), "--states", str(states))
+        assert_input_error(result, "state layout")
+
+    @pytest.mark.parametrize("change", [
+        {"schema": dict(CONFIG["schema"], vmag_buses=["b2"])},
+        {"feeder": "feeder_2bus"},
+    ], ids=["fewer-voltage-channels", "other-feeder"])
+    def test_eval_on_dataset_of_another_layout(self, config_path, tmp_path, change):
+        assert run_cli("train", "--config", str(config_path)).returncode == 0
+        other = tmp_path / "other.yaml"
+        other.write_text(yaml.safe_dump(dict(CONFIG, output_dir=str(tmp_path / "other"),
+                                             **change)))
+        result = run_cli("eval", "--config", str(other),
+                         "--checkpoint", str(tmp_path / "out" / "checkpoint.json"))
+        assert_input_error(result, "channel layout")

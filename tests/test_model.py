@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from gridtwin import autodiff as ad
 from gridtwin import model as M
-from gridtwin.errors import NonFiniteLoss, NonFiniteValue
+from gridtwin.errors import ConfigError, NonFiniteLoss, NonFiniteValue
 from gridtwin.telemetry import build_dataset
 
 
@@ -164,32 +165,29 @@ class TestGqa:
         params = M._gqa("p", 4, 2, 1, rng)
         x = rng.normal(size=(3, 4))
         tape = ad.Tape()
-        counters = {}
-        out = M.gqa_attention(tape.constant(x), params, heads=2, groups=1, counters=counters)
+        out = M.gqa_attention(tape.constant(x), params, heads=2, groups=1)
         oracle = brute_force_attention(x, params, heads=2, groups=1)
         assert np.max(np.abs(out.value - oracle)) < 1e-10
-        assert counters["k_projections"] == 1
-        assert counters["v_projections"] == 1
+        assert params.wk.value.shape == params.wv.value.shape == (4, 1 * 2)
 
     def test_degenerate_grouping_is_standard_mha(self):
         rng = np.random.default_rng(5)
         params = M._gqa("p", 8, 4, 4, rng)
         x = rng.normal(size=(5, 8))
         t1, t2 = ad.Tape(), ad.Tape()
-        c_gqa, c_mha = {}, {}
-        out_gqa = M.gqa_attention(t1.constant(x), params, heads=4, groups=4, counters=c_gqa)
-        out_mha = M.mha_attention(t2.constant(x), params, heads=4, counters=c_mha)
+        out_gqa = M.gqa_attention(t1.constant(x), params, heads=4, groups=4)
+        out_mha = M.mha_attention(t2.constant(x), params, heads=4)
         assert np.array_equal(out_gqa.value, out_mha.value)  # bit-identical
-        assert c_gqa["k_projections"] == c_mha["k_projections"] == 4
+        assert params.wk.value.shape == params.wv.value.shape == (8, 4 * 2)
 
     def test_kv_projection_count_is_groups_not_heads(self):
         rng = np.random.default_rng(6)
         params = M._gqa("p", 8, 4, 2, rng)
         x = rng.normal(size=(5, 8))
-        counters = {}
-        M.gqa_attention(ad.Tape().constant(x), params, heads=4, groups=2, counters=counters)
-        assert counters["k_projections"] == 2
-        assert counters["v_projections"] == 2
+        out = M.gqa_attention(ad.Tape().constant(x), params, heads=4, groups=2)
+        # one key and one value projection of width d_head = 2 per group, not per head
+        assert params.wk.value.shape == params.wv.value.shape == (8, 2 * 2)
+        assert out.shape == (5, 8)
 
 
 class TestCrossGate:
@@ -342,6 +340,50 @@ class TestInferenceTape:
         path = tmp_path / "nan.json"
         model.save(path)
         with pytest.raises(NonFiniteValue, match="head1.w"):
+            M.DtModel.load(path)
+
+
+class TestCheckpointLoad:
+    @pytest.mark.parametrize("kind", [M.DtModel, M.ConcatBaselineModel])
+    def test_class_comes_from_model_kind(self, tmp_path, kind):
+        model = kind(tiny_config(seed=5))
+        path = tmp_path / "model.json"
+        model.save(path)
+        for loader in (M.Estimator, kind):
+            clone = loader.load(path)
+            assert type(clone) is kind
+            assert [p.name for p in clone.parameters()] == [p.name for p in model.parameters()]
+            assert all(np.array_equal(p.value, q.value)
+                       for p, q in zip(model.parameters(), clone.parameters()))
+        other = M.DtModel if kind is M.ConcatBaselineModel else M.ConcatBaselineModel
+        with pytest.raises(ConfigError, match="model_kind"):
+            other.load(path)
+
+    @pytest.mark.parametrize("text, match", [
+        ("not json", "unusable checkpoint"),
+        ("[1, 2]", "not a parameter checkpoint"),
+        ('{"format": "gridtwin-params", "format_version": 1, "params": [],'
+         ' "extra": {"model_kind": "transformer"}}', "transformer"),
+        ('{"format": "gridtwin-params", "format_version": 1, "params": [],'
+         ' "extra": {"model_kind": "dt"}}', "model_config"),
+    ], ids=["not-json", "not-a-checkpoint", "unknown-kind", "no-config"])
+    def test_unusable_file_is_config_error(self, tmp_path, text, match):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=match):
+            M.Estimator.load(path)
+
+    def test_missing_or_misshapen_parameter_is_config_error(self, tmp_path):
+        path = tmp_path / "model.json"
+        M.DtModel(tiny_config()).save(path)
+        payload = json.loads(path.read_text())
+        payload["params"][0]["shape"] = payload["params"][0]["shape"][::-1]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError, match="proj1.w"):
+            M.DtModel.load(path)
+        del payload["params"][0]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError, match="proj1.w"):
             M.DtModel.load(path)
 
 

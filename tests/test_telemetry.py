@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -312,3 +314,59 @@ class TestCsv:
         mp.write_text("\n".join(text) + "\n")
         with pytest.raises(UnparseableNumber):
             import_csv(mp, sp, schema8)
+
+    def _edit_states(self, tmp_path, dataset, edit):
+        mp, sp = tmp_path / "m.csv", tmp_path / "s.csv"
+        export_csv(dataset, mp, sp)
+        lines = sp.read_text().splitlines()
+        edit(lines)
+        sp.write_text("\n".join(lines) + "\n")
+        return mp, sp
+
+    def test_states_header_permutation_rejected(self, tmp_path, dataset, schema8):
+        def swap(lines):
+            header = lines[0].split(",")
+            header[0], header[1] = header[1], header[0]
+            lines[0] = ",".join(header)
+
+        mp, sp = self._edit_states(tmp_path, dataset, swap)
+        with pytest.raises(HeaderMismatch, match="state layout"):
+            import_csv(mp, sp, schema8)
+
+    def test_states_ragged_row_rejected(self, tmp_path, dataset, schema8):
+        def shorten(lines):
+            lines[2] = lines[2].rsplit(",", 1)[0]
+
+        mp, sp = self._edit_states(tmp_path, dataset, shorten)
+        with pytest.raises(RaggedRows, match="row 1 has"):
+            import_csv(mp, sp, schema8)
+
+    @pytest.mark.parametrize("cell", ["not-a-number", ""])
+    def test_states_unparseable_or_blank_number_rejected(self, tmp_path, dataset, schema8,
+                                                         cell):
+        def spoil(lines):
+            cells = lines[1].split(",")
+            cells[0] = cell
+            lines[1] = ",".join(cells)
+
+        mp, sp = self._edit_states(tmp_path, dataset, spoil)
+        with pytest.raises(UnparseableNumber, match="row 0 col 0"):
+            import_csv(mp, sp, schema8)
+
+    def test_states_row_count_must_match_measurements(self, tmp_path, dataset, schema8):
+        mp, sp = self._edit_states(tmp_path, dataset, lambda lines: lines.pop())
+        with pytest.raises(RaggedRows, match="state rows vs"):
+            import_csv(mp, sp, schema8)
+
+    def test_export_bytes_unchanged(self, tmp_path, dataset):
+        # Reference writer: the per-cell export these CSVs have always had.
+        mp, sp = tmp_path / "m.csv", tmp_path / "s.csv"
+        masked = replace(dataset, mask=np.arange(dataset.z.size).reshape(dataset.z.shape) % 7 == 0)
+        export_csv(masked, mp, sp)
+        want_m = [",".join(masked.schema.names)] + [
+            ",".join("" if masked.mask[t, j] else repr(float(masked.z[t, j]))
+                     for j in range(masked.n_channels)) for t in range(masked.n_steps)]
+        want_s = [",".join(masked.state_labels)] + [
+            ",".join(repr(float(v)) for v in row) for row in masked.x]
+        assert mp.read_bytes() == ("\r\n".join(want_m) + "\r\n").encode()
+        assert sp.read_bytes() == ("\r\n".join(want_s) + "\r\n").encode()
