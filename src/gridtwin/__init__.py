@@ -35,6 +35,7 @@ from .feeder import (
     FeederModel,
     Line,
     LoadScenario,
+    LoadSeries,
     VoltageSolution,
     admittance_matrix,
     build_feeder,

@@ -593,18 +593,22 @@ def zeros_init(name, shape):
 
 
 def save_params(path, params, extra=None):
-    """Write parameters as versioned JSON; float64-lossless round trip."""
-    payload = {
-        "format": CHECKPOINT_FORMAT,
-        "format_version": CHECKPOINT_VERSION,
-        "extra": extra or {},
-        "params": [
-            {"name": p.name, "shape": list(p.value.shape), "values": p.value.ravel().tolist()}
-            for p in params
-        ],
-    }
+    """Write parameters as versioned JSON; float64-lossless round trip.
+
+    The bytes are those of json.dump of the whole payload. Each parameter is
+    encoded by json.dumps, whose C encoder is faster than the Python one
+    json.dump runs, and written as it is made, so the text of the whole file
+    is never held at once.
+    """
+    head = json.dumps({"format": CHECKPOINT_FORMAT, "format_version": CHECKPOINT_VERSION,
+                       "extra": extra or {}, "params": []})
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+        fh.write(head.removesuffix("]}"))
+        for i, p in enumerate(params):
+            fh.write(", " if i else "")
+            fh.write(json.dumps({"name": p.name, "shape": list(p.value.shape),
+                                 "values": p.value.ravel().tolist()}))
+        fh.write("]}")
 
 
 def load_params(path):

@@ -7,6 +7,12 @@ baseline, and the classical WLS solver across a grid of evaluation missing
 ratios and seeds. Results land in long-format metrics.csv plus summary.csv
 and SVG plots.
 
+Configs parse with libyaml's `CSafeLoader` when PyYAML has it (else
+`SafeLoader`, to equal objects), and `config_used.yaml` is written with
+`safe_dump`. The synthetic load profiles are one `LoadSeries`, drawn as
+arrays, and an evaluation mask is drawn against its one alpha without a
+per-alpha schema.
+
 `sweep`, `eval` and `wls` all walk their grid through `evaluate_grid`: its
 tasks run one after another in grid order, and each task's rows, built by
 `metric_rows`, are appended to metrics.csv and flushed as soon as the task
@@ -24,8 +30,8 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .errors import ConfigError, NoConvergence, RankDeficient
-from .feeder import LoadScenario, admittance_matrix, fixture_path, load_fixture
+from .errors import ConfigError, InvalidAlpha, NoConvergence, RankDeficient
+from .feeder import YAML_LOADER, LoadSeries, admittance_matrix, fixture_path, load_fixture
 from .metrics import METRIC_NAMES, compute_metrics, states_to_polar, summarize
 from .model import (
     ModelConfig,
@@ -34,7 +40,7 @@ from .model import (
     train_concat_baseline,
 )
 from .svgplot import write_panels
-from .telemetry import build_dataset, default_schema, draw_mask, import_csv
+from .telemetry import build_dataset, default_schema, import_csv
 from .wls import WlsProblem, estimate_wls, feasibility_check
 
 CONFIG_FORMAT_VERSION = 1
@@ -128,7 +134,7 @@ class ExperimentConfig:
     def from_yaml(cls, path):
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                raw = yaml.safe_load(fh)
+                raw = yaml.load(fh, Loader=YAML_LOADER)
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}") from None
         except yaml.YAMLError as exc:
@@ -180,38 +186,43 @@ def resolve_feeder(config):
 
 
 def make_schema(config, feeder, alpha):
-    vmag_buses = [b for b in config.vmag_buses if b in feeder.bus_map]
-    vang_nodes = [n for n in config.vang_nodes if tuple(n.split(":")) in feeder.node_index]
+    """The configured metering layout on `feeder`; empty `vmag_buses` meters
+    |v| at every non-slack bus. A ConfigError names the configured buses and
+    phase-nodes the feeder lacks."""
+    unknown = [b for b in config.vmag_buses if b not in feeder.bus_map]
+    unknown += [n for n in config.vang_nodes
+                if tuple(str(n).split(":")) not in feeder.node_index]
+    if unknown:
+        raise ConfigError(f"schema names buses or phase-nodes that feeder {config.feeder} "
+                          f"lacks: {unknown}")
     return default_schema(
         feeder,
         power_sigma=config.power_sigma,
         vmag_sigma=config.vmag_sigma,
         vang_sigma=config.vang_sigma,
         alpha=alpha,
-        vmag_buses=vmag_buses or None,
-        vang_nodes=vang_nodes,
+        vmag_buses=config.vmag_buses or None,
+        vang_nodes=config.vang_nodes,
     )
 
 
 def daily_load_profiles(base, steps, seed, day_steps=96, amplitude=0.35, jitter=0.05):
-    """Synthetic load series: daily sinusoid, per-bus scale/phase, step jitter."""
-    buses = sorted({bus for (bus, _) in base.s})
+    """Synthetic load series: daily sinusoid, per-bus scale/phase, step jitter.
+
+    Returns a LoadSeries over the keys of `base`. The draws come in the order
+    of a per-step loop: every bus's scale, every bus's phase offset, then
+    each step's jitter over the buses, buses sorted by id.
+    """
+    keys = tuple(base.s)
+    buses = sorted({bus for (bus, _) in keys})
     rng = np.random.default_rng((seed, 0))
-    scale = {b: rng.uniform(0.85, 1.15) for b in buses}
-    offset = {b: rng.uniform(0.0, 2 * np.pi) for b in buses}
-    profiles = []
-    for t in range(steps):
-        eps = {b: rng.standard_normal() for b in buses}
-        factors = {
-            b: scale[b]
-            * (1.0 + amplitude * np.sin(2 * np.pi * t / day_steps + offset[b]))
-            * (1.0 + jitter * eps[b])
-            for b in buses
-        }
-        profiles.append(LoadScenario({
-            (bus, phase): s * factors[bus] for (bus, phase), s in base.s.items()
-        }))
-    return profiles
+    scale = rng.uniform(0.85, 1.15, len(buses))
+    offset = rng.uniform(0.0, 2 * np.pi, len(buses))
+    eps = rng.standard_normal((steps, len(buses)))
+    angle = (2 * np.pi * np.arange(steps) / day_steps)[:, None] + offset
+    factors = scale * (1.0 + amplitude * np.sin(angle)) * (1.0 + jitter * eps)
+    col = [buses.index(bus) for bus, _ in keys]
+    return LoadSeries(keys, np.array([base.s[key] for key in keys]) * factors[:, col])
 
 
 def generate_dataset(config):
@@ -238,9 +249,13 @@ def _alpha_key(alpha):
 
 
 def eval_mask(dataset, alpha, seed):
-    """Evaluation missing-indicator matrix, drawn once per (alpha, seed)."""
+    """Evaluation missing-indicator matrix, drawn once per (alpha, seed): the
+    draw of draw_mask on dataset.schema.with_alpha(alpha), without building
+    that schema."""
+    if not 0.0 <= alpha < 1.0:
+        raise InvalidAlpha(f"evaluation alpha {alpha} must lie in [0, 1)")
     rng = np.random.default_rng((9001, seed, _alpha_key(alpha)))
-    return draw_mask(dataset.schema.with_alpha(alpha), rng, steps=dataset.n_steps)
+    return rng.random((dataset.n_steps, dataset.n_channels)) < alpha
 
 
 def eval_steps(dataset, window):
@@ -462,6 +477,7 @@ def run_sweep(config, progress=None):
     log = progress or (lambda msg: None)
     log(f"generating dataset: {config.steps} steps on {config.feeder}")
     feeder, schema, dataset = generate_dataset(config)
+    _node_column(dataset, config.timeseries_node)  # a bad node exits before training
     mcfg = model_config(config, dataset)
 
     log(f"training dt model ({mcfg.epochs} epochs)")

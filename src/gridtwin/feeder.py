@@ -9,8 +9,14 @@ tolerance. The sweep is batched: `solve_power_flows` solves a sequence of
 load scenarios as the columns of one voltage matrix, each column leaving the
 sweep once it converges, and `solve_power_flow` is a batch of one. Its
 matrix products run one column at a time, so every column rounds as it
-would alone. Buses may carry a subset of phases; missing phases are absent
-phase-nodes, never zero rows.
+would alone. Its `(n_nodes, T)` demand matrix is filled by one indexed
+assignment from a `LoadSeries`, the `(steps, keys)` complex demand array
+that `bench.daily_load_profiles` returns; a list of `LoadScenario`s is
+turned into one first. Buses may carry a subset of phases; missing phases
+are absent phase-nodes, never zero rows.
+
+Fixtures parse with libyaml's `CSafeLoader` when PyYAML was built with it,
+else with `SafeLoader`: the same objects, several times faster.
 
 The global phase-node ordering (bus listing order, phases a<b<c) defines the
 layout of every vector in the package: complex voltage vectors, admittance
@@ -20,7 +26,7 @@ phase-nodes.
 
 from __future__ import annotations
 
-import cmath
+import operator
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -42,6 +48,8 @@ PHASES = ("a", "b", "c")
 _PHASE_POS = {"a": 0, "b": 1, "c": 2}
 
 FIXTURE_FORMAT_VERSION = 1
+
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 @dataclass(frozen=True)
@@ -91,6 +99,47 @@ class LoadScenario:
 
     def __repr__(self):
         return f"LoadScenario({len(self.s)} entries)"
+
+
+class LoadSeries:
+    """Constant-power wye demand over time steps: `s[t, k]` is the complex
+    demand (p.u., consumption positive) at phase-node `keys[k]` in step t.
+
+    Iterates and indexes as a sequence of LoadScenarios, one per step.
+    """
+
+    __slots__ = ("keys", "s")
+
+    def __init__(self, keys, s):
+        self.keys = tuple(keys)
+        self.s = np.asarray(s, dtype=complex)
+
+    @classmethod
+    def of(cls, loads_seq):
+        """`loads_seq` itself when it is a LoadSeries, else the series of its
+        LoadScenarios over every key any of them lists (zero where one does
+        not)."""
+        if isinstance(loads_seq, cls):
+            return loads_seq
+        scenarios = list(loads_seq)
+        col = {}
+        for loads in scenarios:
+            for key in loads.s:
+                col.setdefault(key, len(col))
+        s = np.zeros((len(scenarios), len(col)), dtype=complex)
+        for t, loads in enumerate(scenarios):
+            for key, demand in loads.s.items():
+                s[t, col[key]] = demand
+        return cls(col, s)
+
+    def __len__(self):
+        return len(self.s)
+
+    def __getitem__(self, t):
+        return LoadScenario(zip(self.keys, self.s[operator.index(t)].tolist()))
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
 
 
 @dataclass(frozen=True)
@@ -306,7 +355,7 @@ def load_fixture(path):
     absent.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
+        raw = yaml.load(fh, Loader=YAML_LOADER)
     version = raw.get("format_version")
     if version != FIXTURE_FORMAT_VERSION:
         raise FeederError(f"unsupported fixture format_version {version!r}")
@@ -377,17 +426,22 @@ def flat_state(feeder):
     return voltages_to_state(feeder, flat_voltages(feeder))
 
 
-def _load_vector(feeder, loads):
-    s = np.zeros(feeder.n_nodes, dtype=complex)
-    for (bus_id, phase), demand in loads.s.items():
-        key = (bus_id, phase)
+def _demand_matrix(feeder, loads_seq):
+    """(n_nodes, T) complex demand of a LoadSeries or a sequence of
+    LoadScenarios, one column per step. Raises InvalidLoad for a key on an
+    unknown phase-node or on the slack bus, else for the first non-finite
+    demand."""
+    series = LoadSeries.of(loads_seq)
+    for key in series.keys:
         if key not in feeder.node_index:
             raise InvalidLoad(f"load on unknown phase-node {key}")
-        if bus_id == feeder.slack_bus:
-            raise InvalidLoad(f"load on slack bus {bus_id!r} is not allowed")
-        if not cmath.isfinite(demand):  # np.isfinite costs ~1 us on a scalar
-            raise InvalidLoad(f"non-finite load at {key}")
-        s[feeder.node_index[key]] = complex(demand)
+        if key[0] == feeder.slack_bus:
+            raise InvalidLoad(f"load on slack bus {key[0]!r} is not allowed")
+    bad = np.argwhere(~np.isfinite(series.s))
+    if len(bad):
+        raise InvalidLoad(f"non-finite load at {series.keys[bad[0][1]]}")
+    s = np.zeros((feeder.n_nodes, len(series)), dtype=complex)
+    s[[feeder.node_index[key] for key in series.keys]] = series.s.T
     return s
 
 
@@ -406,7 +460,8 @@ def solve_power_flow(feeder, loads, tol=1e-8, max_iter=100):
 
 
 def solve_power_flows(feeder, loads_seq, tol=1e-8, max_iter=100):
-    """Backward/forward sweep power flow over a sequence of load scenarios.
+    """Backward/forward sweep power flow over a LoadSeries or a sequence of
+    load scenarios.
 
     Each scenario is one column of an (n_nodes, T) voltage matrix; a column
     leaves the sweep once it converges or turns non-finite. Convergence is
@@ -419,10 +474,7 @@ def solve_power_flows(feeder, loads_seq, tol=1e-8, max_iter=100):
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    loads_seq = list(loads_seq)
-    s = np.empty((feeder.n_nodes, len(loads_seq)), dtype=complex)
-    for t, loads in enumerate(loads_seq):
-        s[:, t] = _load_vector(feeder, loads)
+    s = _demand_matrix(feeder, loads_seq)
     y, ns, lines = feeder._admittance, feeder.non_slack_nodes(), feeder._lines
     out = np.empty_like(s)
     v = np.repeat(feeder._flat_v[:, None], s.shape[1], axis=1)

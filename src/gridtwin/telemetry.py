@@ -8,6 +8,10 @@ convention generation-positive / load-negative; angles are radians.
 Masking semantics: channels are z-score normalized first (statistics from
 unmasked training-split entries), then masked positions are set to exactly
 zero, so a missing value reads as the channel mean in raw units.
+
+A dataset is built from a `LoadSeries`, the demand of every time step as
+one `(steps, keys)` array: one batched power flow solves all steps, and one
+`measure_many` measures them.
 """
 
 from __future__ import annotations
@@ -26,7 +30,13 @@ from .errors import (
     UnknownChannelTarget,
     UnparseableNumber,
 )
-from .feeder import admittance_matrix, columnwise, solve_power_flows, voltages_to_state
+from .feeder import (
+    LoadSeries,
+    admittance_matrix,
+    columnwise,
+    solve_power_flows,
+    voltages_to_state,
+)
 
 KINDS = ("P_injection", "Q_injection", "V_magnitude", "V_angle")
 POWER_KINDS = ("P_injection", "Q_injection")
@@ -250,14 +260,15 @@ def _assemble(schema, z, mask, x, state_labels, train_fraction):
 
 def build_dataset(feeder, load_profiles, schema, seed, train_fraction=0.8):
     """Solve the power flow of every time step in one batch, measure, add
-    noise, collect stats.
+    noise, collect stats. `load_profiles` is a LoadSeries, the demand of
+    every step as one array, or a sequence of LoadScenarios.
 
     Per-step noise seeds derive from (seed, t) so steps are independent and
     the construction is reproducible. NoConvergence is raised for the lowest
     failing step, with that step index attached.
     """
-    profiles = list(load_profiles)
-    if not profiles:
+    profiles = LoadSeries.of(load_profiles)
+    if not len(profiles):
         raise ValueError("load_profiles must be nonempty")
     try:
         v = solve_power_flows(feeder, profiles).v

@@ -254,8 +254,13 @@ def estimate_wls(problem, x0=None, tol=1e-8, max_iter=40):
     if isinstance(outcome, StateEstimate):
         return outcome
     # Raised here, where the frame holds only the problem: a caller that keeps
-    # the error keeps none of the solver's arrays through its traceback.
-    raise outcome
+    # the error keeps none of the solver's arrays through its traceback. The
+    # frame lets go of the error, so error and frame form no cycle and a
+    # dropped verdict is freed at once, without the cycle collector.
+    try:
+        raise outcome
+    finally:
+        del outcome
 
 
 def _gauss_newton(problem, x0, tol, max_iter):

@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 import weakref
 
@@ -431,6 +432,23 @@ class TestCheckpoint:
         for p in params:
             assert np.array_equal(arrays[p.name], p.value)
             assert arrays[p.name].dtype == np.float64
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_bytes_equal_those_of_json_dump(self, tmp_path, count):
+        rng = np.random.default_rng(3)
+        params = [ad.Parameter("w", rng.standard_normal((40, 25))),
+                  ad.Parameter("tiny", np.array([5e-324, -0.0, 1e308])),
+                  ad.Parameter("b", rng.standard_normal(7))][:count]
+        extra = {"kind": "test", "shape": [40, 25]}
+        path = tmp_path / "params.json"
+        ad.save_params(path, params, extra=extra)
+        payload = {"format": ad.CHECKPOINT_FORMAT, "format_version": ad.CHECKPOINT_VERSION,
+                   "extra": extra,
+                   "params": [{"name": p.name, "shape": list(p.value.shape),
+                               "values": p.value.ravel().tolist()} for p in params]}
+        with open(tmp_path / "reference.json", "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        assert path.read_bytes() == (tmp_path / "reference.json").read_bytes()
 
     def test_version_check(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -1,7 +1,9 @@
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from gridtwin import bench
 from gridtwin.bench import (
@@ -13,9 +15,14 @@ from gridtwin.bench import (
     write_summary_csv,
 )
 from gridtwin.model import ConcatBaselineModel, DtModel
-from gridtwin.errors import ConfigError, LengthMismatch
+from gridtwin.errors import ConfigError, InvalidAlpha, LengthMismatch
+from gridtwin.feeder import LoadScenario, fixture_path, load_fixture
 from gridtwin.metrics import compute_metrics, summarize, wrap_angle
-from gridtwin.telemetry import export_csv, import_csv
+from gridtwin.telemetry import build_dataset, draw_mask, export_csv, import_csv
+
+ROOT = Path(__file__).resolve().parents[1]
+SHIPPED_CONFIGS = (ROOT / "configs" / "smoke.yaml", ROOT / "configs" / "sweep_8bus.yaml",
+                   ROOT / "perfbench" / "protocol.yaml")
 
 
 class TestMetrics:
@@ -153,7 +160,95 @@ class TestConfig:
             ExperimentConfig(steps=8).validate()  # default window 8
 
 
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+class TestYamlLoader:
+    """libyaml's loader reads every shipped file to what the Python one reads."""
+
+    FIXTURES = tuple(sorted(Path(fixture_path("feeder_8bus")).parent.glob("*.yaml")))
+    SHIPPED = SHIPPED_CONFIGS + FIXTURES
+
+    @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.name)
+    def test_equal_objects(self, path):
+        text = path.read_text(encoding="utf-8")
+        python, libyaml = (yaml.load(text, Loader=loader)
+                           for loader in (yaml.SafeLoader, yaml.CSafeLoader))
+        assert python == libyaml and repr(python) == repr(libyaml)
+
+    def test_the_package_parses_with_libyaml(self, monkeypatch):
+        assert bench.YAML_LOADER is yaml.CSafeLoader
+        fast = [ExperimentConfig.from_yaml(path) for path in SHIPPED_CONFIGS]
+        monkeypatch.setattr(bench, "YAML_LOADER", yaml.SafeLoader)
+        assert fast == [ExperimentConfig.from_yaml(path) for path in SHIPPED_CONFIGS]
+
+
+class TestSchemaLayout:
+    def test_unknown_buses_and_nodes_are_named(self):
+        feeder, _ = load_fixture(fixture_path("feeder_8bus"))
+        config = ExperimentConfig(vmag_buses=("b2", "b99"),
+                                  vang_nodes=("b5:a", "b5:d", "b5", 5))
+        with pytest.raises(ConfigError, match=r"\['b99', 'b5:d', 'b5', 5\]"):
+            bench.make_schema(config, feeder, 0.0)
+
+    def test_empty_voltage_buses_meter_every_non_slack_bus(self):
+        feeder, _ = load_fixture(fixture_path("feeder_8bus"))
+        every = [b.id for b in feeder.buses if b.id != feeder.slack_bus]
+        assert (bench.make_schema(ExperimentConfig(vmag_buses=()), feeder, 0.0).names
+                == bench.make_schema(ExperimentConfig(vmag_buses=tuple(every)), feeder,
+                                     0.0).names)
+
+
+def scalar_profiles(base, steps, seed, day_steps=96, amplitude=0.35, jitter=0.05):
+    """The load profiles drawn and scaled one bus and one step at a time."""
+    buses = sorted({bus for (bus, _) in base.s})
+    rng = np.random.default_rng((seed, 0))
+    scale = {b: rng.uniform(0.85, 1.15) for b in buses}
+    offset = {b: rng.uniform(0.0, 2 * np.pi) for b in buses}
+    profiles = []
+    for t in range(steps):
+        eps = {b: rng.standard_normal() for b in buses}
+        factors = {
+            b: scale[b]
+            * (1.0 + amplitude * np.sin(2 * np.pi * t / day_steps + offset[b]))
+            * (1.0 + jitter * eps[b])
+            for b in buses
+        }
+        profiles.append(LoadScenario({
+            (bus, phase): s * factors[bus] for (bus, phase), s in base.s.items()
+        }))
+    return profiles
+
+
 class TestProfiles:
+    @pytest.mark.parametrize("fixture, steps, seed, day_steps, amplitude, jitter", [
+        ("feeder_8bus", 500, 11, 96, 0.5, 0.1),
+        ("feeder_8bus", 120, 11, 48, 0.5, 0.1),
+        ("feeder_8bus", 97, 0, 7, 0.35, 0.05),
+        ("feeder_8bus", 1, 12345, 96, 0.0, 0.0),
+        ("feeder_2bus", 60, 5, 24, 0.3, 0.02),
+    ])
+    def test_series_equals_scalar_loop(self, fixture, steps, seed, day_steps, amplitude,
+                                       jitter):
+        _, nominal = load_fixture(fixture_path(fixture))
+        series = daily_load_profiles(nominal, steps, seed, day_steps, amplitude, jitter)
+        want = scalar_profiles(nominal, steps, seed, day_steps, amplitude, jitter)
+        assert series.keys == tuple(nominal.s) and series.s.shape == (steps, len(nominal.s))
+        assert series.s.tobytes() == np.array([list(p.s.values()) for p in want]).tobytes()
+        for got, ref in zip(series, want):
+            assert list(got.s) == list(ref.s)
+            assert [type(d) for d in got.s.values()] == [type(d) for d in ref.s.values()]
+
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
+    def test_dataset_equals_the_per_scenario_path(self, path):
+        config = ExperimentConfig.from_yaml(path)
+        feeder, schema, dataset = bench.generate_dataset(config)
+        _, nominal = bench.resolve_feeder(config)
+        profiles = scalar_profiles(nominal, config.steps, config.profile_seed,
+                                   config.day_steps, config.amplitude, config.jitter)
+        want = build_dataset(feeder, profiles, schema, seed=config.noise_seed,
+                             train_fraction=config.train_fraction)
+        for name in ("z", "x", "mask", "norm_mean", "norm_std"):
+            assert getattr(dataset, name).tobytes() == getattr(want, name).tobytes(), name
+
     def test_seeded_and_deterministic(self, feeder8):
         _, nominal = feeder8
         a = daily_load_profiles(nominal, 10, seed=3)
@@ -171,6 +266,24 @@ class TestProfiles:
         assert series.min() > 0
         swing = series.max() / series.min()
         assert swing > 1.5  # the sinusoid actually moves the load
+
+
+class TestEvalMask:
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        return bench.generate_dataset(ExperimentConfig(steps=60))[2]
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.1, 0.25, 0.4, 0.95])
+    def test_equals_the_draw_on_a_uniform_alpha_schema(self, dataset, alpha):
+        for seed in (0, 3):
+            rng = np.random.default_rng((9001, seed, bench._alpha_key(alpha)))
+            want = draw_mask(dataset.schema.with_alpha(alpha), rng, steps=dataset.n_steps)
+            assert np.array_equal(bench.eval_mask(dataset, alpha, seed), want)
+
+    @pytest.mark.parametrize("alpha", [-0.1, 1.0, float("nan")])
+    def test_alpha_outside_unit_interval(self, dataset, alpha):
+        with pytest.raises(InvalidAlpha):
+            bench.eval_mask(dataset, alpha, 0)
 
 
 class TestReport:

@@ -242,7 +242,9 @@ class TestBadInputFiles:
 
     @pytest.mark.parametrize("change", [
         {"schema": dict(CONFIG["schema"], vmag_buses=["b2"])},
-        {"feeder": "feeder_2bus"},
+        {"feeder": "feeder_2bus",
+         "schema": dict(CONFIG["schema"], vmag_buses=["b2"], vang_nodes=["b2:a"]),
+         "evaluation": dict(CONFIG["evaluation"], timeseries_node="b2:a")},
     ], ids=["fewer-voltage-channels", "other-feeder"])
     def test_eval_on_dataset_of_another_layout(self, config_path, tmp_path, change):
         assert run_cli("train", "--config", str(config_path)).returncode == 0
@@ -252,3 +254,24 @@ class TestBadInputFiles:
         result = run_cli("eval", "--config", str(other),
                          "--checkpoint", str(tmp_path / "out" / "checkpoint.json"))
         assert_input_error(result, "channel layout")
+
+    @pytest.mark.parametrize("command", ["gen", "sweep"])
+    def test_schema_naming_what_the_feeder_lacks(self, tmp_path, command):
+        schema = dict(CONFIG["schema"], vmag_buses=["b2", "b99"], vang_nodes=["b5:a", "b9:c"])
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(dict(CONFIG, schema=schema,
+                                            output_dir=str(tmp_path / "out"))))
+        assert_input_error(run_cli(command, "--config", str(path)), "['b99', 'b9:c']")
+
+    def test_other_feeder_with_this_feeders_schema(self, config_path):
+        result = run_cli("gen", "--config", str(config_path), "--feeder", "feeder_2bus")
+        assert_input_error(result, "['b4', 'b6', 'b8', 'b5:a', 'b5:b', 'b5:c', 'b8:a']")
+
+    def test_sweep_with_unknown_timeseries_node_stops_before_training(self, tmp_path):
+        out = tmp_path / "out"
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(dict(
+            CONFIG, output_dir=str(out),
+            evaluation=dict(CONFIG["evaluation"], timeseries_node="b9:a"))))
+        assert_input_error(run_cli("sweep", "--config", str(path)), "'b9:a'")
+        assert sorted(p.name for p in out.iterdir()) == ["config_used.yaml"]

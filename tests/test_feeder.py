@@ -13,6 +13,8 @@ from gridtwin.errors import (
 )
 from gridtwin.feeder import (
     LoadScenario,
+    LoadSeries,
+    _demand_matrix,
     admittance_matrix,
     build_feeder,
     flat_voltages,
@@ -149,13 +151,51 @@ class TestPowerFlow:
             assert abs(sol.v[i]) <= abs(base.v[i]) + 1e-12
 
     def test_invalid_load_targets(self, feeder2):
-        feeder, _ = feeder2
-        with pytest.raises(InvalidLoad):
-            solve_power_flow(feeder, LoadScenario({("nope", "a"): 0.1}))
-        with pytest.raises(InvalidLoad):
-            solve_power_flow(feeder, LoadScenario({("b1", "a"): 0.1}))
-        with pytest.raises(InvalidLoad):
-            solve_power_flow(feeder, LoadScenario({("b2", "a"): complex("nan")}))
+        # Each message holds for a lone scenario, a list of them and a LoadSeries.
+        feeder, nominal = feeder2
+        for key, demand, message in [
+            (("nope", "a"), 0.1, "load on unknown phase-node ('nope', 'a')"),
+            (("b1", "a"), 0.1, "load on slack bus 'b1' is not allowed"),
+            (("b2", "a"), complex("nan"), "non-finite load at ('b2', 'a')"),
+        ]:
+            bad = LoadScenario({**nominal.s, key: demand})
+            scenarios = [nominal, bad, nominal]
+            for solve, loads in ((solve_power_flow, bad), (solve_power_flows, scenarios),
+                                 (solve_power_flows, LoadSeries.of(scenarios))):
+                with pytest.raises(InvalidLoad) as excinfo:
+                    solve(feeder, loads)
+                assert str(excinfo.value) == message
+
+
+class TestLoadSeries:
+    def test_demand_matrix_equals_a_per_scenario_fill(self, feeder8, daily8):
+        feeder, _ = feeder8
+        want = np.zeros((feeder.n_nodes, len(daily8)), dtype=complex)
+        for t, loads in enumerate(daily8):
+            for key, demand in loads.s.items():
+                want[feeder.node_index[key], t] = complex(demand)
+        for loads_seq in (daily8, list(daily8)):
+            assert _demand_matrix(feeder, loads_seq).tobytes() == want.tobytes()
+
+    def test_scenarios_round_trip(self):
+        scenarios = [LoadScenario({("m", "a"): 0.1 + 0.05j}), LoadScenario.zero(),
+                     LoadScenario({("e", "a"): 0.2, ("m", "a"): 0.3j})]
+        series = LoadSeries.of(scenarios)
+        assert LoadSeries.of(series) is series
+        assert series.keys == (("m", "a"), ("e", "a")) and series.s.shape == (3, 2)
+        assert len(series) == 3
+        assert [p.s for p in series] == [
+            {("m", "a"): 0.1 + 0.05j, ("e", "a"): 0j},
+            {("m", "a"): 0j, ("e", "a"): 0j},
+            {("m", "a"): 0.3j, ("e", "a"): 0.2 + 0j},
+        ]
+        assert all(type(d) is complex for p in series for d in p.s.values())
+        assert series[-1].s == series[2].s
+        with pytest.raises(TypeError):
+            series[0:2]
+        empty = LoadSeries.of([LoadScenario.zero()])
+        feeder = build_feeder(minimal_spec())
+        assert solve_power_flows(feeder, empty).v.shape == (2, 1)
 
 
 def _lone(feeder, loads, **kw):

@@ -1,5 +1,7 @@
+import gc
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -368,6 +370,20 @@ class TestRaisedVerdicts:
             kinds.append((kind, type(exc).__name__))
         assert kinds == [("too few rows", "RankDeficient"), ("ill-conditioned", "RankDeficient"),
                          ("iteration limit", "NoConvergence")]
+
+    def test_dropped_verdict_is_freed_without_the_cycle_collector(self, schema8, noiseless8):
+        refs = []
+        gc.disable()
+        try:
+            for kind, kwargs, problem in self.cases(schema8, noiseless8):
+                try:
+                    estimate_wls(problem, **kwargs)
+                except (RankDeficient, NoConvergence) as exc:
+                    refs.append((kind, weakref.ref(exc)))
+            assert [kind for kind, ref in refs if ref() is not None] == []
+            assert len(refs) == 3
+        finally:
+            gc.enable()
 
 
 class TestRoundingFloor:
