@@ -40,14 +40,15 @@ print(f"MHA reference projects keys of width {full.wk.value.shape[1]}; "
           ref.value))
 
 # --- cross-interaction gates --------------------------------------------
-g1, g2 = M._gate("g1", 8, 16, rng), M._gate("g2", 8, 16, rng)
+# The two branches' latents and gate weights are stacked on a branch axis.
+gates = M._stacked("gate", M._gate("g1", 8, 16, rng), M._gate("g2", 8, 16, rng))
 tape = ad.Tape()
-a1 = tape.constant(rng.normal(size=(6, 8)))
-a2 = tape.constant(rng.normal(size=(6, 8)))
-h1, h2 = M.cross_gate(a1, a2, g1, g2)
-gate_vals = M.gate_forward(a2, g2).value
+a = tape.constant(rng.normal(size=(2, 6, 8)))
+h = M.cross_gate(a, gates)
+hidden = np.maximum(a.value @ gates.w1.value + gates.b1.value[:, None], 0.0)
+gate_vals = 1.0 / (1.0 + np.exp(-(hidden @ gates.w2.value + gates.b2.value[:, None])))
 print(f"\ngate outputs live in (0, 1): min {gate_vals.min():.3f} max {gate_vals.max():.3f}")
-print("fused branch 1 = gate(a2) * a2 + a1, shape", h1.shape)
+print("fused branch 1 = gate(a2) * a2 + a1, shape", h.value[0].shape)
 
 # --- a short end-to-end training run ------------------------------------
 feeder, nominal = load_fixture(fixture_path("feeder_8bus"))

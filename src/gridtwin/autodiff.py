@@ -7,13 +7,17 @@ into a fresh tape each step via Tape.watch; backward overwrites their .grad
 (a second backward on the same tape reproduces the first).
 
 Supported ops: matmul, add, sub, mul, scale, transpose, row_softmax,
-sigmoid, relu, concat_lastdim, slice_lastdim, mean_all, square, and two fused
-ops with hand-written backward passes: linear (x @ w + b) and attention (a
-whole grouped-query attention block with its residual). Elementwise ops
-broadcast only over the leading axis ((T, d) op (d,)); matmul, transpose and
-row_softmax take 2-D operands. linear and attention work on the last axes of
-their input, (..., fan_in) and (..., T, d): any leading axes are batch axes,
-and parameter gradients are summed over them.
+sigmoid, relu, concat_lastdim, slice_lastdim, mean_all, square, the branch
+ops stack_branches and merge_branches, and three fused ops with hand-written
+backward passes: linear (x @ w + b), attention (a whole grouped-query
+attention block with its residual) and cross_gate (the two-branch gated
+fusion). Elementwise ops broadcast only over the leading axis ((T, d) op
+(d,)); matmul, transpose and row_softmax take 2-D operands. linear and
+attention work on the last axes of their input, (..., fan_in) and
+(..., T, d). A weight may carry leading axes of its own, (*W, fan_in,
+fan_out), which must equal the axes of x just before (rows, features): each
+weight slice maps its own slice of x. Every other leading axis of x is a
+batch axis, and a weight's gradient is summed over the axes of x it lacks.
 
 Every op output and constant is checked for NaN and infinity
 (NonFiniteValue); parameters are checked where they change (sgd_step,
@@ -26,6 +30,7 @@ InferenceTape, which runs the same ops and checks but records nothing.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -144,8 +149,10 @@ class InferenceTape(Tape):
 
 
 def _checked(op, value):
+    # A finite sum means every entry is finite; a sum that overflows falls
+    # through to the entrywise test.
     value = np.asarray(value, dtype=float)
-    if not np.isfinite(value).all():
+    if not math.isfinite(np.add.reduce(value, axis=None)) and not np.isfinite(value).all():
         raise NonFiniteValue(f"op {op!r} produced a non-finite value")
     return value
 
@@ -338,27 +345,84 @@ def _back_mean_all(tape, i, g, grads):
     _accumulate(grads, src, np.full_like(tape.values[src], float(g) / tape.ctx[i]))
 
 
-# --- fused layers; leading axes of the input are batch axes ---
+# --- branch axis: two branch tensors side by side, (..., 2, T, d) ---
 
-def _rows(a):
-    """All leading axes folded into one: (..., k) -> (N, k)."""
-    return a.reshape(-1, a.shape[-1])
+def stack_branches(a, b):
+    """Two (..., T, d) tensors stacked on a branch axis: (..., 2, T, d)."""
+    tape = _tape_of(a, b)
+    if a.shape != b.shape or a.value.ndim < 2:
+        raise ShapeMismatch(f"stack_branches shapes {a.shape} and {b.shape}")
+    return tape._record("stack_branches", (a.idx, b.idx),
+                        np.concatenate([a.value[..., None, :, :], b.value[..., None, :, :]],
+                                       axis=-3))
+
+
+def _back_stack_branches(tape, i, g, grads):
+    ia, ib = tape.inputs[i]
+    _accumulate(grads, ia, g[..., 0, :, :])
+    _accumulate(grads, ib, g[..., 1, :, :])
+
+
+def merge_branches(a):
+    """(..., 2, T, d) -> (..., T, 2d): the two branch slices side by side on
+    the last axis, as concat_lastdim of the two would give."""
+    if a.value.ndim < 3 or a.shape[-3] != 2:
+        raise ShapeMismatch(f"merge_branches needs a branch axis of 2, got {a.shape}")
+    *lead, t_len, _ = a.shape
+    return a.tape._record("merge_branches", (a.idx,),
+                          a.value.swapaxes(-3, -2).reshape(*lead[:-1], t_len, -1))
+
+
+def _back_merge_branches(tape, i, g, grads):
+    # (..., T, 2d) -> (..., T, 2, d) -> (..., 2, T, d), a view of g
+    _accumulate(grads, tape.inputs[i][0], g.reshape(*g.shape[:-1], 2, -1).swapaxes(-3, -2))
+
+
+# --- fused layers; leading axes of the input are batch or weight axes ---
+
+def _weight_rows(a, k):
+    """(..., *W, T, n) -> (*W, N, n) for a weight with k leading axes W: the
+    rows each weight slice sees, every axis of `a` the weight lacks folded
+    into N in order. With k = 0 this is (N, n)."""
+    lead = a.ndim - 2 - k
+    if k and lead > 0:
+        a = np.moveaxis(a, range(lead, lead + k), range(k))
+    return a.reshape(*a.shape[:k], -1, a.shape[-1])
+
+
+def _weight_axes(x, w, op):
+    """The leading axes of weight w, which must equal those of x just before
+    (rows, features)."""
+    axes = w.shape[:-2]
+    if axes and (x.value.ndim < len(axes) + 2 or x.shape[-2 - len(axes):-2] != axes):
+        raise ShapeMismatch(f"{op} weight {w.shape} does not fit x {x.shape}")
+    return axes
+
+
+def _t(w):
+    """Transpose of the last two axes."""
+    return w.swapaxes(-1, -2)
 
 
 def linear(x, w, b):
-    """Affine map x @ w + b over the last axis of x."""
+    """Affine map x @ w + b over the last axis of x; a weight (*W, fan_in,
+    fan_out) with bias (*W, fan_out) maps x (..., *W, rows, fan_in)."""
     tape = _tape_of(x, w, b)
-    if w.value.ndim != 2 or x.shape[-1:] != w.shape[:1] or b.shape != w.shape[1:]:
+    if w.value.ndim < 2 or x.shape[-1:] != w.shape[-2:-1] \
+            or b.shape != w.shape[:-2] + w.shape[-1:]:
         raise ShapeMismatch(f"linear shapes x {x.shape}, w {w.shape}, b {b.shape}")
-    return tape._record("linear", (x.idx, w.idx, b.idx), x.value @ w.value + b.value)
+    bias = b.value[..., None, :] if _weight_axes(x, w, "linear") else b.value
+    return tape._record("linear", (x.idx, w.idx, b.idx), x.value @ w.value + bias)
 
 
 def _back_linear(tape, i, g, grads):
     ix, iw, ib = tape.inputs[i]
-    g_rows = _rows(g)
-    _accumulate(grads, ib, g_rows.sum(axis=0))
-    _accumulate(grads, ix, g @ tape.values[iw].T)
-    _accumulate(grads, iw, _rows(tape.values[ix]).T @ g_rows)
+    w = tape.values[iw]
+    k = w.ndim - 2
+    g_rows = _weight_rows(g, k)
+    _accumulate(grads, ib, g_rows.sum(axis=-2))
+    _accumulate(grads, ix, g @ _t(w))
+    _accumulate(grads, iw, _t(_weight_rows(tape.values[ix], k)) @ g_rows)
 
 
 def attention(x, wq, wk, wv, wo, heads, groups):
@@ -370,17 +434,21 @@ def attention(x, wq, wk, wv, wo, heads, groups):
     (..., groups, heads // groups, T, d_head). Heads are concatenated in
     order and projected by wo. The float operations per head are those of
     the per-head primitive composition, so outputs match it bit for bit.
+    Weights with leading axes W, (*W, d, d) and (*W, d, groups * d_head),
+    attend each slice of x (..., *W, T, d) with its own weights.
     """
     tape = _tape_of(x, wq, wk, wv, wo)
     *lead, t_len, d = x.shape
     if d % heads or heads % groups:
         raise ShapeMismatch(f"d={d} heads={heads} groups={groups} do not divide")
     d_head, per_group = d // heads, heads // groups
-    if not (wq.shape == wo.shape == (d, d) and wk.shape == wv.shape == (d, groups * d_head)):
+    axes = _weight_axes(x, wq, "attention")
+    if not (wq.shape == wo.shape == (*axes, d, d)
+            and wk.shape == wv.shape == (*axes, d, groups * d_head)):
         raise ShapeMismatch(f"attention weights {wq.shape} {wk.shape} {wv.shape} {wo.shape} "
                             f"for d={d} heads={heads} groups={groups}")
     xv = x.value
-    rows = xv[..., None, :, :]  # (..., 1, T, d) against (groups, d, d_head)
+    rows = xv[..., None, :, :]  # (..., 1, T, d) against (*W, groups, d, d_head)
     # q: (..., T, d) -> (..., groups, per_group, T, d_head); k, v: (..., groups, T, d_head)
     q = _heads_first((xv @ wq.value).reshape(*lead, t_len, groups, per_group, d_head))
     k = rows @ _by_group(wk.value, groups)
@@ -397,8 +465,9 @@ def attention(x, wq, wk, wv, wo, heads, groups):
 
 
 def _by_group(w, groups):
-    """(d, groups * d_head) -> (groups, d, d_head): one column block per group."""
-    return w.reshape(w.shape[0], groups, -1).swapaxes(0, 1)
+    """(*W, d, groups * d_head) -> (*W, groups, d, d_head): one column block
+    per group."""
+    return w.reshape(*w.shape[:-1], groups, -1).swapaxes(-3, -2)
 
 
 def _heads_first(a):
@@ -415,23 +484,77 @@ def _back_attention(tape, i, g, grads):
     ix, iq, ik, iv, io = tape.inputs[i]
     q, k, v, weights, merged, c = tape.ctx[i]
     x = tape.values[ix]
+    wq, wk, wv, wo = (tape.values[j] for j in (iq, ik, iv, io))
+    n_axes = wq.ndim - 2
     *lead, t_len, d = x.shape
     groups, per_group, _, d_head = q.shape[-4:]
-    g_heads = _heads_first((g @ tape.values[io].T).reshape(*lead, t_len, groups, per_group,
-                                                           d_head))
+    g_heads = _heads_first((g @ _t(wo)).reshape(*lead, t_len, groups, per_group, d_head))
     g_weights = g_heads @ v[..., None, :, :].swapaxes(-1, -2)
     g_v = (weights.swapaxes(-1, -2) @ g_heads).sum(axis=-3)
     g_scores = weights * (g_weights - (g_weights * weights).sum(axis=-1, keepdims=True)) * c
     g_q = _time_first(g_scores @ k[..., None, :, :]).reshape(*lead, t_len, d)
     g_k = (g_scores.swapaxes(-1, -2) @ q).sum(axis=-3)
     g_k, g_v = (a.swapaxes(-3, -2).reshape(*lead, t_len, groups * d_head) for a in (g_k, g_v))
-    x_rows = _rows(x).T
-    _accumulate(grads, io, _rows(merged).T @ _rows(g))
-    _accumulate(grads, iq, x_rows @ _rows(g_q))
-    _accumulate(grads, ik, x_rows @ _rows(g_k))
-    _accumulate(grads, iv, x_rows @ _rows(g_v))
-    g_x = g + g_q @ tape.values[iq].T + g_k @ tape.values[ik].T + g_v @ tape.values[iv].T
+    x_rows = _t(_weight_rows(x, n_axes))
+    _accumulate(grads, io, _t(_weight_rows(merged, n_axes)) @ _weight_rows(g, n_axes))
+    _accumulate(grads, iq, x_rows @ _weight_rows(g_q, n_axes))
+    _accumulate(grads, ik, x_rows @ _weight_rows(g_k, n_axes))
+    _accumulate(grads, iv, x_rows @ _weight_rows(g_v, n_axes))
+    g_x = g + g_q @ _t(wq) + g_k @ _t(wk) + g_v @ _t(wv)
     _accumulate(grads, ix, g_x)
+
+
+def cross_gate(a, w1, b1, w2, b2):
+    """Cross-interaction fusion of the two branch latents a (..., 2, T, d):
+
+        out = flip(gate(a) * a) + a,  gate(a) = sigmoid(relu(a @ w1 + b1) @ w2 + b2)
+
+    where each branch has its own gate (w1 (2, d, d_ff), b1 (2, d_ff),
+    w2 (2, d_ff, d), b2 (2, d)) and flip reverses the branch axis, so
+    out[0] = gate_1(a_1) * a_1 + a_0 and out[1] = gate_0(a_0) * a_0 + a_1.
+    The float operations are those of the linear, relu, linear, sigmoid, mul
+    and add ops per branch, both linear outputs are checked as those ops
+    check them, and the backward pass sums each branch's three gradient
+    terms in the order the per-branch record would.
+    """
+    tape = _tape_of(a, w1, b1, w2, b2)
+    d, f = a.shape[-1], w1.shape[-1]
+    if not (a.value.ndim >= 3 and a.shape[-3] == 2 and w1.shape == (2, d, f)
+            and b1.shape == (2, f) and w2.shape == (2, f, d) and b2.shape == (2, d)):
+        raise ShapeMismatch(f"cross_gate shapes a {a.shape}, w1 {w1.shape}, b1 {b1.shape}, "
+                            f"w2 {w2.shape}, b2 {b2.shape}")
+    av = a.value
+    pre = _checked("linear", av @ w1.value + b1.value[:, None, :])
+    hidden = np.maximum(pre, 0.0, out=pre)  # hidden > 0 where pre > 0
+    s = np.exp(-np.logaddexp(0.0, -_checked("linear", hidden @ w2.value
+                                                      + b2.value[:, None, :])))
+    out = (s * av)[..., ::-1, :, :] + av
+    return tape._record("cross_gate", (a.idx, w1.idx, b1.idx, w2.idx, b2.idx), out,
+                        ctx=(hidden, s))
+
+
+def _back_cross_gate(tape, i, g, grads):
+    ia, i1, ib1, i2, ib2 = tape.inputs[i]
+    hidden, s = tape.ctx[i]
+    a = tape.values[ia]
+    w1, w2 = tape.values[i1], tape.values[i2]
+    g_m = g[..., ::-1, :, :]
+    g_pre2 = g_m * a * s * (1.0 - s)
+    g_rows = _weight_rows(g_pre2, 1)
+    _accumulate(grads, ib2, g_rows.sum(axis=-2))
+    _accumulate(grads, i2, _t(_weight_rows(hidden, 1)) @ g_rows)
+    g_pre1 = (g_pre2 @ _t(w2)) * (hidden > 0)
+    g_rows = _weight_rows(g_pre1, 1)
+    _accumulate(grads, ib1, g_rows.sum(axis=-2))
+    _accumulate(grads, i1, _t(_weight_rows(a, 1)) @ g_rows)
+    # Gradient terms of a: through the product (m), the gate (l) and the
+    # residual (r). The per-branch record sums branch 0's as (m + l) + r and
+    # branch 1's as (r + m) + l, because it builds out[0] before out[1].
+    m, l = g_m * s, g_pre1 @ _t(w1)
+    g_a = np.empty_like(a)
+    g_a[..., 0, :, :] = m[..., 0, :, :] + l[..., 0, :, :] + g[..., 0, :, :]
+    g_a[..., 1, :, :] = g[..., 1, :, :] + m[..., 1, :, :] + l[..., 1, :, :]
+    _accumulate(grads, ia, g_a)
 
 
 _BACKWARD = {
@@ -448,8 +571,11 @@ _BACKWARD = {
     "concat_lastdim": _back_concat,
     "slice_lastdim": _back_slice,
     "mean_all": _back_mean_all,
+    "stack_branches": _back_stack_branches,
+    "merge_branches": _back_merge_branches,
     "linear": _back_linear,
     "attention": _back_attention,
+    "cross_gate": _back_cross_gate,
 }
 
 # name -> callable, for op-sweep tests
@@ -467,8 +593,11 @@ OPS = {
     "slice_lastdim": slice_lastdim,
     "mean_all": mean_all,
     "square": square,
+    "stack_branches": stack_branches,
+    "merge_branches": merge_branches,
     "linear": linear,
     "attention": attention,
+    "cross_gate": cross_gate,
 }
 
 
@@ -566,11 +695,12 @@ class AdamState:
         np.multiply(g, 1 - self.beta2, out=a)
         np.multiply(a, g, out=a)
         np.add(self.v, a, out=self.v)
-        # value -= lr * (m / b1t) / (sqrt(v / b2t) + eps)
-        np.divide(self.m, b1t, out=a)
-        np.multiply(a, lr, out=a)
-        np.divide(self.v, b2t, out=b)
-        np.sqrt(b, out=b)
+        # value -= lr * (m / b1t) / (sqrt(v / b2t) + eps); once a correction
+        # rounds to 1.0 its division is skipped, since x / 1.0 is x
+        m_hat = self.m if b1t == 1.0 else np.divide(self.m, b1t, out=a)
+        np.multiply(m_hat, lr, out=a)
+        v_hat = self.v if b2t == 1.0 else np.divide(self.v, b2t, out=b)
+        np.sqrt(v_hat, out=b)
         np.add(b, self.eps, out=b)
         np.divide(a, b, out=a)
         np.subtract(self.values, a, out=self.values)

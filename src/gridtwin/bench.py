@@ -40,7 +40,7 @@ from .model import (
     train_concat_baseline,
 )
 from .svgplot import write_panels
-from .telemetry import build_dataset, default_schema, import_csv
+from .telemetry import build_dataset, default_schema, import_csv, train_split
 from .wls import WlsProblem, estimate_wls, feasibility_check
 
 CONFIG_FORMAT_VERSION = 1
@@ -99,6 +99,11 @@ class ExperimentConfig:
         if model.window >= self.steps:
             raise ConfigError(f"model window {model.window} must be shorter than steps "
                               f"{self.steps}")
+        split = train_split(self.train_fraction, self.steps)
+        if split < model.window:
+            raise ConfigError(f"the training split ({split} of {self.steps} steps at "
+                              f"train_fraction {self.train_fraction}) is shorter than the "
+                              f"model window {model.window}")
         return self
 
     def to_dict(self):
@@ -120,10 +125,16 @@ class ExperimentConfig:
             given = {None: raw}
             for section in CONFIG_SECTIONS:
                 given[section] = dict(raw.pop(section, {}) or {})
-            known = {name: parse(given[section].pop(key))
-                     for section, key, name, parse in CONFIG_LAYOUT if key in given[section]}
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"unparseable config value: {exc}") from None
+        known = {}
+        for section, key, name, parse in CONFIG_LAYOUT:
+            if key in given[section]:
+                try:
+                    known[name] = parse(given[section].pop(key))
+                except (TypeError, ValueError) as exc:
+                    where = f"{section}.{key}" if section else key
+                    raise ConfigError(f"unparseable config value for {where}: {exc}") from None
         for section, rest in given.items():
             if rest:
                 raise ConfigError(f"unknown {section or 'config'} keys: "
@@ -146,6 +157,16 @@ class ExperimentConfig:
             yaml.safe_dump(self.to_dict(), fh, sort_keys=False)
 
 
+def _list_of(item):
+    """Parser of a list key: each entry through `item`. A string or a scalar
+    is refused rather than read as a sequence of characters or digits."""
+    def parse(value):
+        if not isinstance(value, (list, tuple)):
+            raise TypeError(f"expected a list, got {value!r}")
+        return tuple(map(item, value))
+    return parse
+
+
 # The config file layout in echo order: (section, or None for the top level,
 # key, ExperimentConfig field, parser). from_dict parses each given key, and
 # to_dict writes each field through its parser, tuples as lists.
@@ -162,11 +183,11 @@ CONFIG_LAYOUT = (
     ("schema", "vmag_sigma", "vmag_sigma", float),
     ("schema", "vang_sigma", "vang_sigma", float),
     ("schema", "train_alpha", "train_alpha", float),
-    ("schema", "vmag_buses", "vmag_buses", tuple),
-    ("schema", "vang_nodes", "vang_nodes", tuple),
+    ("schema", "vmag_buses", "vmag_buses", _list_of(str)),
+    ("schema", "vang_nodes", "vang_nodes", _list_of(str)),
     (None, "model", "model", lambda v: dict(v or {})),
-    ("evaluation", "alphas", "alphas", lambda v: tuple(map(float, v))),
-    ("evaluation", "seeds", "seeds", lambda v: tuple(map(int, v))),
+    ("evaluation", "alphas", "alphas", _list_of(float)),
+    ("evaluation", "seeds", "seeds", _list_of(int)),
     ("evaluation", "wls_failure_seeds", "wls_failure_seeds", int),
     ("evaluation", "timeseries_node", "timeseries_node", str),
     (None, "output_dir", "output_dir", str),

@@ -2,30 +2,36 @@
 
 Two measurement branches (power channels, voltage channels) are projected
 into a shared latent width, tagged with sinusoidal positional encodings, and
-pushed through N series fusion blocks. Each block runs grouped-query
-attention per branch (keys/values computed once per group and shared by the
-query heads of that group, plus a residual), then exchanges information
-through sigmoid cross-gates:
+stacked on a branch axis, (..., 2, T, d). N series fusion blocks follow. Each
+runs grouped-query attention on both branches at once (keys/values computed
+once per group and shared by the query heads of that group, plus a residual;
+each branch has its own weights), then exchanges information through
+sigmoid cross-gates:
 
     H1 = gate2(a2) * a2 + a1        H2 = gate1(a1) * a1 + a2
 
-Branch outputs are linearly projected, concatenated, and decoded by a
+Branch outputs are linearly projected, set side by side, and decoded by a
 two-layer head into per-step rectangular voltage states. Training minimizes
 mean squared error over the whole window with fresh Bernoulli input masks
 drawn every epoch as augmentation, one optimizer step per window; the
 optimizer is plain SGD unless the config opts into Adam.
 
-On the tape every affine layer is one `linear` op and every attention block
-one fused `attention` op, so a forward pass records 86 ops at the default
-shape (two blocks). Inputs may carry a leading batch axis, (B, T, m):
-predict_series runs all requested windows as one batch, with the same float
-operations per window as a single-window pass. Forward passes that need no
-gradient (estimate_voltages, the validation pass of each epoch) run on an
-InferenceTape, which records nothing.
+Every branch pair of weights after the input projections is one Parameter
+with a leading branch axis of 2, drawn branch by branch in the order of a
+per-branch model. On the tape every affine layer is one `linear` op, every
+attention block one fused `attention` op and every cross-gate one fused
+`cross_gate` op, so a forward pass records 44 ops at the default shape (two
+blocks). Each branch keeps the float operations of a per-branch model, so
+outputs and gradients match one bit for bit. Inputs may carry a leading
+batch axis, (B, T, m): predict_series runs all requested windows as one
+batch, with the same float operations per window as a single-window pass.
+Forward passes that need no gradient (estimate_voltages, the validation pass
+of each epoch) run on an InferenceTape, which records nothing.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields, is_dataclass
 
 import numpy as np
@@ -53,12 +59,17 @@ class ModelConfig:
     optimizer: str = "sgd"  # optional "adam"; plain SGD is the default
 
     def __post_init__(self):
+        for name in ("d", "d_ff", "blocks", "heads", "groups", "window"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        if self.epochs < 0:
+            raise ValueError("epochs must not be negative")
+        if not (math.isfinite(self.lr) and self.lr >= 0):
+            raise ValueError(f"lr must be finite and non-negative, got {self.lr}")
         if self.heads % self.groups != 0:
             raise ValueError("heads must be a multiple of groups")
         if self.d % self.heads != 0:
             raise ValueError("d must be a multiple of heads")
-        if self.window < 1:
-            raise ValueError("window must be at least 1")
         if not self.power_channels or not self.voltage_channels:
             raise ValueError("both measurement branches must be nonempty")
         if self.optimizer not in ("sgd", "adam"):
@@ -114,18 +125,6 @@ class GateParams:
     b2: ad.Parameter
 
 
-@dataclass(frozen=True)
-class BranchBlockParams:
-    attn: GqaParams
-    gate: GateParams
-
-
-@dataclass(frozen=True)
-class FusionBlockParams:
-    branch1: BranchBlockParams
-    branch2: BranchBlockParams
-
-
 def _linear(name, fan_in, fan_out, rng):
     return LinearParams(
         w=ad.uniform_init(f"{name}.w", (fan_in, fan_out), fan_in, rng),
@@ -152,6 +151,16 @@ def _gate(name, d, d_ff, rng):
     )
 
 
+def _stacked(name, first, second):
+    """A branch pair of parameter sets as one set, each Parameter holding the
+    two branches' arrays stacked on a leading branch axis."""
+    return type(first)(**{
+        f.name: ad.Parameter(f"{name}.{f.name}", np.stack([getattr(first, f.name).value,
+                                                           getattr(second, f.name).value]))
+        for f in fields(first)
+    })
+
+
 def affine(x, lin):
     """x @ w + b on the tape, over the last axis of x."""
     tape = x.tape
@@ -176,7 +185,8 @@ def gqa_attention(x, params, heads, groups):
     Scores follow softmax(Q K^T / sqrt(d_head)) V per head; heads are
     concatenated, output-projected, and added back onto x. The whole block
     is one fused tape op (autodiff.attention); x may carry leading batch
-    axes, (..., T, d).
+    axes, (..., T, d). Branch-stacked params, (2, d, .) weights, attend each
+    branch of x (..., 2, T, d) with its own weights.
     """
     tape = x.tape
     return ad.attention(x, tape.watch(params.wq), tape.watch(params.wk),
@@ -213,24 +223,17 @@ def mha_attention(x, params, heads):
     return ad.add(out, x)
 
 
-def gate_forward(x, gp):
-    """Two-layer gate network: relu hidden, sigmoid output in (0, 1)."""
-    tape = x.tape
-    hidden = ad.relu(ad.linear(x, tape.watch(gp.w1), tape.watch(gp.b1)))
-    return ad.sigmoid(ad.linear(hidden, tape.watch(gp.w2), tape.watch(gp.b2)))
-
-
-def cross_gate(a1, a2, gate1, gate2):
-    """Cross-interaction fusion:
+def cross_gate(a, gate):
+    """Cross-interaction fusion of the branch latents stacked in a (..., 2, T, d):
 
         H1 = gate2(a2) * a2 + a1
         H2 = gate1(a1) * a1 + a2
+
+    that is flip(gate(a) * a) + a over the branch axis, with the branch gates
+    stacked in `gate`; one fused tape op (autodiff.cross_gate).
     """
-    if a1.shape != a2.shape:
-        raise ShapeMismatch(f"branch latents differ: {a1.shape} vs {a2.shape}")
-    h1 = ad.add(ad.mul(gate_forward(a2, gate2), a2), a1)
-    h2 = ad.add(ad.mul(gate_forward(a1, gate1), a1), a2)
-    return h1, h2
+    tape = a.tape
+    return ad.cross_gate(a, *(tape.watch(p) for p in (gate.w1, gate.b1, gate.w2, gate.b2)))
 
 
 def mse_loss(pred, targets):
@@ -320,39 +323,30 @@ class DtModel(Estimator):
         m_p, m_v = len(config.power_channels), len(config.voltage_channels)
         self.proj1 = _linear("proj1", m_p, d, rng)
         self.proj2 = _linear("proj2", m_v, d, rng)
-        self.blocks = tuple(
-            FusionBlockParams(
-                branch1=BranchBlockParams(
-                    attn=_gqa(f"block{i}.br1.attn", d, config.heads, config.groups, rng),
-                    gate=_gate(f"block{i}.br1.gate", d, d_ff, rng),
-                ),
-                branch2=BranchBlockParams(
-                    attn=_gqa(f"block{i}.br2.attn", d, config.heads, config.groups, rng),
-                    gate=_gate(f"block{i}.br2.gate", d, d_ff, rng),
-                ),
-            )
-            for i in range(config.blocks)
-        )
-        self.out1 = _linear("out1", d, d, rng)
-        self.out2 = _linear("out2", d, d, rng)
+        blocks = []
+        for i in range(config.blocks):
+            (attn1, gate1), (attn2, gate2) = [
+                (_gqa("", d, config.heads, config.groups, rng), _gate("", d, d_ff, rng))
+                for _ in range(2)
+            ]
+            blocks.append((_stacked(f"block{i}.attn", attn1, attn2),
+                           _stacked(f"block{i}.gate", gate1, gate2)))
+        self.blocks = tuple(blocks)
+        self.out = _stacked("out", _linear("", d, d, rng), _linear("", d, d, rng))
         self.head1 = _linear("head1", 2 * d, d_ff, rng)
         self.head2 = _linear("head2", d_ff, config.n_states, rng)
 
     def layers(self):
-        return (self.proj1, self.proj2, *self.blocks, self.out1, self.out2,
-                self.head1, self.head2)
+        return (self.proj1, self.proj2, *(p for block in self.blocks for p in block),
+                self.out, self.head1, self.head2)
 
     def forward_window(self, tape, window):
         cfg = self.config
-        x1 = project_branch(tape, window.z_power, self.proj1, self.pos)
-        x2 = project_branch(tape, window.z_volt, self.proj2, self.pos)
-        for block in self.blocks:
-            a1 = gqa_attention(x1, block.branch1.attn, cfg.heads, cfg.groups)
-            a2 = gqa_attention(x2, block.branch2.attn, cfg.heads, cfg.groups)
-            x1, x2 = cross_gate(a1, a2, block.branch1.gate, block.branch2.gate)
-        o1 = affine(x1, self.out1)
-        o2 = affine(x2, self.out2)
-        merged = ad.concat_lastdim(o1, o2)
+        x = ad.stack_branches(project_branch(tape, window.z_power, self.proj1, self.pos),
+                              project_branch(tape, window.z_volt, self.proj2, self.pos))
+        for attn, gate in self.blocks:
+            x = cross_gate(gqa_attention(x, attn, cfg.heads, cfg.groups), gate)
+        merged = ad.merge_branches(affine(x, self.out))
         hidden = ad.relu(affine(merged, self.head1))
         return affine(hidden, self.head2)
 

@@ -243,10 +243,15 @@ class Dataset:
         return (rows - self.norm_mean) / self.norm_std
 
 
+def train_split(train_fraction, n_steps):
+    """Steps in the training split of a series of n_steps: at least one."""
+    return max(1, int(round(train_fraction * n_steps)))
+
+
 def _assemble(schema, z, mask, x, state_labels, train_fraction):
     """Dataset of measurement and state arrays: the split index, and the
     normalization stats of each channel from the unmasked training entries."""
-    split_index = max(1, int(round(train_fraction * len(z))))
+    split_index = train_split(train_fraction, len(z))
     mean, std = np.zeros(z.shape[1]), np.ones(z.shape[1])
     for j in range(z.shape[1]):
         col = z[:split_index, j][~mask[:split_index, j]]

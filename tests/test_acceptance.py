@@ -88,11 +88,28 @@ def test_criterion_1_autodiff_soundness():
                  wq=fused.normal(size=(8, 8)), wk=fused.normal(size=(8, 4)),
                  wv=fused.normal(size=(8, 4)), wo=fused.normal(size=(8, 8)),
                  e8=fused.normal(size=(2, 4, 8)))
+    # The branch ops: stacked inputs (2, 4, 5), gate weights from a third stream.
+    op_cases.update({
+        "stack_branches": lambda t: ad.mean_all(ad.mul(
+            ad.stack_branches(t, ad.square(t)), t.tape.constant(const["e"]))),
+        "merge_branches": lambda t: ad.mean_all(ad.square(ad.merge_branches(t))),
+        "cross_gate": lambda t: ad.mean_all(ad.mul(
+            ad.cross_gate(t, *(t.tape.constant(const[k]) for k in ("w1", "b1", "w2", "b2"))),
+            t.tape.constant(const["e25"]))),
+    })
+    branch = np.random.default_rng(2)
+    const.update(w1=branch.normal(size=(2, 5, 6)), b1=branch.normal(size=(2, 6)),
+                 w2=branch.normal(size=(2, 6, 5)), b2=branch.normal(size=(2, 5)),
+                 e25=branch.normal(size=(2, 4, 5)))
     shapes = {"linear": (2, 4, 5), "attention": (2, 4, 8)}
+    branch_shapes = {"merge_branches": (2, 4, 5), "cross_gate": (2, 4, 5)}
     assert set(op_cases) == set(ad.OPS)
     worst_op = 0.0
     for name, f in op_cases.items():
-        x = fused.normal(size=shapes[name]) if name in shapes else rng.normal(size=(4, 5))
+        if name in branch_shapes:
+            x = branch.normal(size=branch_shapes[name])
+        else:
+            x = fused.normal(size=shapes[name]) if name in shapes else rng.normal(size=(4, 5))
         if name == "relu":
             x = np.where(np.abs(x) < 0.05, 0.3, x)
         err = ad.grad_check(f, x, step=1e-5)
@@ -234,29 +251,27 @@ def test_criterion_4_gqa():
 
 def test_criterion_5_gating():
     rng = np.random.default_rng(51)
-    g1, g2 = M._gate("a", 4, 8, rng), M._gate("b", 4, 8, rng)
+    gates = M._stacked("ab", M._gate("a", 4, 8, rng), M._gate("b", 4, 8, rng))
     a1v, a2v = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+    a = np.stack([a1v, a2v])
     for bias, expect1, expect2 in ((-30.0, a1v, a2v),
                                    (+30.0, a1v + a2v, a1v + a2v)):
-        for g in (g1, g2):
-            g.w2.value[:] = 0.0
-            g.b2.value[:] = bias
-        tape = ad.Tape()
-        h1, h2 = M.cross_gate(tape.constant(a1v), tape.constant(a2v), g1, g2)
-        assert np.max(np.abs(h1.value - expect1)) < 1e-9
-        assert np.max(np.abs(h2.value - expect2)) < 1e-9
+        gates.w2.value[:] = 0.0
+        gates.b2.value[:] = bias
+        h1, h2 = M.cross_gate(ad.Tape().constant(a), gates).value
+        assert np.max(np.abs(h1 - expect1)) < 1e-9
+        assert np.max(np.abs(h2 - expect2)) < 1e-9
 
-    g1, g2 = M._gate("c", 4, 8, rng), M._gate("d", 4, 8, rng)
-    tape = ad.Tape()
-    h1, h2 = M.cross_gate(tape.constant(a1v), tape.constant(a2v), g1, g2)
+    gates = M._stacked("cd", M._gate("c", 4, 8, rng), M._gate("d", 4, 8, rng))
+    h1, h2 = M.cross_gate(ad.Tape().constant(a), gates).value
 
-    def gate_np(xv, gp):
-        hidden = np.maximum(xv @ gp.w1.value + gp.b1.value, 0.0)
-        return 1.0 / (1.0 + np.exp(-(hidden @ gp.w2.value + gp.b2.value)))
+    def gate_np(xv, k):
+        hidden = np.maximum(xv @ gates.w1.value[k] + gates.b1.value[k], 0.0)
+        return 1.0 / (1.0 + np.exp(-(hidden @ gates.w2.value[k] + gates.b2.value[k])))
 
     err = max(
-        float(np.max(np.abs(h1.value - (gate_np(a2v, g2) * a2v + a1v)))),
-        float(np.max(np.abs(h2.value - (gate_np(a1v, g1) * a1v + a2v)))),
+        float(np.max(np.abs(h1 - (gate_np(a2v, 1) * a2v + a1v)))),
+        float(np.max(np.abs(h2 - (gate_np(a1v, 0) * a1v + a2v)))),
     )
     assert err < 1e-12
     announce(5, f"closed/open-gate identities within 1e-9; oracle match {err:.1e}")

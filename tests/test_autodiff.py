@@ -175,18 +175,44 @@ OP_CASES = {
         ad.attention(t, *(t.tape.constant(_CONST[k]) for k in ("wq", "wk", "wv", "wo")),
                      heads=4, groups=2),
         t.tape.constant(_CONST["e_attention"]))),
+    # the branch ops: x is (rows, cols) and (2, rows, cols)
+    "stack_branches": lambda t: ad.mean_all(ad.mul(
+        ad.stack_branches(t, ad.square(t)), t.tape.constant(_CONST["e"]))),
+    "merge_branches": lambda t: ad.mean_all(ad.square(ad.merge_branches(t))),
+    "cross_gate": lambda t: ad.mean_all(ad.mul(
+        ad.cross_gate(t, *(t.tape.constant(_CONST[k]) for k in ("w1", "b1", "w2", "b2"))),
+        t.tape.constant(_CONST["e_gate"]))),
 }
 _CONST = {}
 OP_SHAPES = {"linear": lambda rows, cols: (2, rows, cols),
-             "attention": lambda rows, cols: (2, rows, 8)}
+             "attention": lambda rows, cols: (2, rows, 8),
+             "merge_branches": lambda rows, cols: (2, rows, cols),
+             "cross_gate": lambda rows, cols: (2, rows, cols)}
 
-# Every argument of a fused op, with a batch axis and groups < heads.
+
+def _gate_consts(rng, rows, cols):
+    """Branch gates of hidden width 5 for a (2, rows, cols) cross_gate input."""
+    return {"w1": rng.normal(size=(2, cols, 5)), "b1": rng.normal(size=(2, 5)),
+            "w2": rng.normal(size=(2, 5, cols)), "b2": rng.normal(size=(2, cols)),
+            "e_gate": rng.normal(size=(2, rows, cols))}
+
+
+# Every argument of a fused op, with a batch axis and groups < heads; the
+# "_stacked" cases give the weights a branch axis of 2.
 FUSED_ARGS = {
     "linear": lambda rng, rows: [rng.normal(size=s) for s in ((2, rows, 5), (5, 3), (3,))],
+    "linear_stacked": lambda rng, rows: [rng.normal(size=s) for s in
+                                         ((3, 2, rows, 5), (2, 5, 3), (2, 3))],
     "attention": lambda rng, rows: [rng.normal(size=s) for s in
                                     ((2, rows, 8), (8, 8), (8, 4), (8, 4), (8, 8))],
+    "attention_stacked": lambda rng, rows: [rng.normal(size=s) for s in
+                                            ((3, 2, rows, 8), (2, 8, 8), (2, 8, 4),
+                                             (2, 8, 4), (2, 8, 8))],
+    "cross_gate": lambda rng, rows: [rng.normal(size=s) for s in
+                                     ((3, 2, rows, 4), (2, 4, 6), (2, 6), (2, 6, 4), (2, 4))],
 }
-FUSED_KWARGS = {"linear": {}, "attention": {"heads": 4, "groups": 2}}
+FUSED_KWARGS = {"attention": {"heads": 4, "groups": 2},
+                "attention_stacked": {"heads": 4, "groups": 2}}
 
 
 class TestGradCheck:
@@ -206,28 +232,58 @@ class TestGradCheck:
             for name, shape in (("wq", (8, 8)), ("wk", (8, 4)), ("wv", (8, 4)), ("wo", (8, 8))):
                 _CONST[name] = rng.normal(size=shape)
             _CONST["e_attention"] = rng.normal(size=(2, rows, 8))
+            _CONST.update(_gate_consts(rng, rows, cols))
             err = ad.grad_check(OP_CASES[op], x, step=1e-5)
             assert err < 1e-4, f"{op} trial {trial}: {err}"
 
     def test_every_op_has_a_backward_and_a_grad_check(self):
         assert set(ad.OPS) == set(ad._BACKWARD) == set(OP_CASES)
 
-    @pytest.mark.parametrize("op, position", [("linear", k) for k in range(3)]
-                             + [("attention", k) for k in range(5)])
-    def test_fused_op_gradient_of_every_argument(self, op, position):
+    @pytest.mark.parametrize("case, position", [
+        (case, k) for case in FUSED_ARGS
+        for k in range(len(FUSED_ARGS[case](np.random.default_rng(0), 1)))])
+    def test_fused_op_gradient_of_every_argument(self, case, position):
+        op, kwargs = ad.OPS[case.removesuffix("_stacked")], FUSED_KWARGS.get(case, {})
         for trial in range(5):
             rng = np.random.default_rng((202, trial))
-            args = FUSED_ARGS[op](rng, int(rng.integers(1, 6)))
-            out_shape = ad.OPS[op](*map(ad.Tape().constant, args), **FUSED_KWARGS[op]).shape
+            args = FUSED_ARGS[case](rng, int(rng.integers(1, 6)))
+            out_shape = op(*map(ad.Tape().constant, args), **kwargs).shape
             weights = rng.normal(size=out_shape)
 
             def f(t):
                 inputs = [t if k == position else t.tape.constant(a) for k, a in enumerate(args)]
-                out = ad.OPS[op](*inputs, **FUSED_KWARGS[op])
-                return ad.mean_all(ad.mul(out, t.tape.constant(weights)))
+                return ad.mean_all(ad.mul(op(*inputs, **kwargs), t.tape.constant(weights)))
 
             err = ad.grad_check(f, args[position], step=1e-5)
-            assert err < 1e-4, f"{op} argument {position} trial {trial}: {err}"
+            assert err < 1e-4, f"{case} argument {position} trial {trial}: {err}"
+
+    @pytest.mark.parametrize("op", ["linear", "attention"])
+    def test_stacked_weights_give_each_branch_its_unstacked_result(self, op):
+        # Forward values and every gradient equal, bit for bit, two unstacked
+        # calls on the branch slices, on one window and on a batch.
+        kwargs = FUSED_KWARGS.get(op, {})
+        for lead in ((), (3,)):
+            rng = np.random.default_rng(204)
+            x, *ws = FUSED_ARGS[f"{op}_stacked"](rng, 6)
+            x = x if lead else x[0]
+            e = rng.normal(size=ad.OPS[op](*map(ad.Tape().constant, [x, *ws]), **kwargs).shape)
+
+            def run(x, ws, e):
+                params = [ad.Parameter(f"a{k}", a) for k, a in enumerate([x, *ws])]
+                tape = ad.Tape()
+                out = ad.OPS[op](*map(tape.watch, params), **kwargs)
+                tape.backward(ad.mean_all(ad.mul(out, tape.constant(e))))
+                return out.value, [p.grad for p in params]
+
+            out, grads = run(x, ws, e)
+            # each branch's mean runs over half the entries, so e / 2 gives it
+            # the same gradient (the halving and doubling are exact)
+            per_branch = [run(x[..., k, :, :], [w[k] for w in ws], e[..., k, :, :] / 2)
+                          for k in range(2)]
+            assert np.array_equal(out, np.stack([o for o, _ in per_branch], axis=-3))
+            assert np.array_equal(grads[0], np.stack([g[0] for _, g in per_branch], axis=-3))
+            for j in range(1, len(grads)):
+                assert np.array_equal(grads[j], np.stack([g[j] for _, g in per_branch]))
 
     def test_linear_batch_axis_sums_parameter_gradients(self):
         rng = np.random.default_rng(203)
@@ -253,6 +309,42 @@ class TestGradCheck:
             ad.attention(x, w8, w4, w4, w8, heads=3, groups=1)
         with pytest.raises(ShapeMismatch):
             ad.attention(x, w8, w4, w4, w8, heads=4, groups=4)
+        # stacked weights need x's axes just before (rows, features) to match
+        s8, s4 = tape.constant(np.zeros((3, 8, 8))), tape.constant(np.zeros((3, 8, 4)))
+        with pytest.raises(ShapeMismatch):
+            ad.attention(x, s8, s4, s4, s8, heads=4, groups=2)
+        with pytest.raises(ShapeMismatch):
+            ad.linear(x, s8, tape.constant(np.zeros((3, 8))))
+        with pytest.raises(ShapeMismatch):
+            ad.linear(tape.constant(np.zeros((3, 8))), s8, tape.constant(np.zeros((3, 8))))
+        with pytest.raises(ShapeMismatch):
+            ad.linear(tape.constant(np.zeros((3, 5, 8))), s8, tape.constant(np.zeros(8)))
+        assert ad.linear(tape.constant(np.zeros((4, 3, 5, 8))), s8,
+                         tape.constant(np.zeros((3, 8)))).shape == (4, 3, 5, 8)
+
+    def test_branch_op_shape_checks(self):
+        tape = ad.Tape()
+        a, b = tape.constant(np.zeros((3, 4))), tape.constant(np.zeros((3, 5)))
+        with pytest.raises(ShapeMismatch):
+            ad.stack_branches(a, b)
+        with pytest.raises(ShapeMismatch):
+            ad.stack_branches(tape.constant(np.zeros(4)), tape.constant(np.zeros(4)))
+        with pytest.raises(ShapeMismatch):
+            ad.merge_branches(tape.constant(np.zeros((3, 3, 4))))
+        stacked = ad.stack_branches(a, tape.constant(np.ones((3, 4))))
+        assert stacked.shape == (2, 3, 4)
+        merged = ad.merge_branches(stacked)
+        assert np.array_equal(merged.value, np.concatenate([np.zeros((3, 4)), np.ones((3, 4))],
+                                                           axis=-1))
+        gates = [np.zeros(s) for s in ((2, 4, 6), (2, 6), (2, 6, 4), (2, 4))]
+        assert ad.cross_gate(stacked, *map(tape.constant, gates)).shape == (2, 3, 4)
+        for bad in ((1, 0, 4, 6), (2, 1, 7), (3, 2, 6, 5)):
+            wrong = list(gates)
+            wrong[bad[0]] = np.zeros(bad[1:])
+            with pytest.raises(ShapeMismatch):
+                ad.cross_gate(stacked, *map(tape.constant, wrong))
+        with pytest.raises(ShapeMismatch):
+            ad.cross_gate(tape.constant(np.zeros((3, 3, 4))), *map(tape.constant, gates))
 
     def test_sigmoid_sum_tight(self):
         rng = np.random.default_rng(4)
@@ -307,7 +399,7 @@ class TestInferenceTape:
                       b=rng.normal(size=3), e_linear=rng.normal(size=(2, rows, 3)),
                       wq=rng.normal(size=(8, 8)), wk=rng.normal(size=(8, 4)),
                       wv=rng.normal(size=(8, 4)), wo=rng.normal(size=(8, 8)),
-                      e_attention=rng.normal(size=(2, rows, 8)))
+                      e_attention=rng.normal(size=(2, rows, 8)), **_gate_consts(rng, rows, cols))
         p = ad.Parameter("x", x)
         recorded = OP_CASES[op](ad.Tape().watch(p)).value
         tape = ad.InferenceTape()
@@ -323,6 +415,19 @@ class TestInferenceTape:
             tape.backward(loss)
         assert p.grad is None
         assert (tape.ops, tape.inputs, tape.values, tape.ctx, tape.params) == ([],) * 5
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_finite_values_whose_sum_overflows_pass_the_check(self):
+        for tape in (ad.Tape(), ad.InferenceTape()):
+            big = tape.constant(np.array([1e308, 1e308]))
+            assert np.array_equal(ad.relu(big).value, [1e308, 1e308])
+            for bad in (np.nan, np.inf, -np.inf):
+                with pytest.raises(NonFiniteValue):
+                    tape.constant(np.array([1.0, bad, 2.0]))
+                with pytest.raises(NonFiniteValue):
+                    tape.constant(np.array([1e308, 1e308, bad]))
+                with pytest.raises(NonFiniteValue):
+                    tape.constant(np.array(bad))
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_ops_are_still_checked(self):
@@ -360,6 +465,32 @@ class TestAdam:
                 assert p.grad is None
                 assert p.value.shape == ref.shape
                 assert np.array_equal(p.value, ref)
+
+    def test_bias_corrections_that_round_to_one_are_skipped_bit_for_bit(self):
+        # With these betas 1 - beta**t rounds to 1.0 from t = 9 (beta1) and
+        # from t = 27 (beta2); 40 steps cross both.
+        beta1, beta2, eps, lr = 0.01, 0.25, 1e-8, 1e-2
+        assert 1.0 - beta1**8 < 1.0 == 1.0 - beta1**9
+        assert 1.0 - beta2**26 < 1.0 == 1.0 - beta2**27
+        rng = np.random.default_rng(9)
+        shapes = [(3, 4), (5,)]
+        values = [rng.normal(size=s) for s in shapes]
+        params = [ad.Parameter(f"p{i}", v.copy()) for i, v in enumerate(values)]
+        adam = ad.AdamState(params, beta1=beta1, beta2=beta2, eps=eps)
+        m = [np.zeros_like(v) for v in values]
+        v2 = [np.zeros_like(v) for v in values]
+        for t in range(1, 41):
+            grads = [rng.normal(size=s) for s in shapes]
+            for p, g in zip(params, grads):
+                p.grad = g.copy()
+            adam.step(lr)
+            b1t, b2t = 1.0 - beta1**t, 1.0 - beta2**t
+            for i, g in enumerate(grads):
+                m[i] = beta1 * m[i] + (1 - beta1) * g
+                v2[i] = beta2 * v2[i] + (1 - beta2) * g * g
+                values[i] -= lr * (m[i] / b1t) / (np.sqrt(v2[i] / b2t) + eps)
+            for p, ref in zip(params, values):
+                assert np.array_equal(p.value, ref), f"step {t}"
 
     def test_missing_gradient_changes_nothing(self):
         params = [ad.Parameter("a", np.ones(2)), ad.Parameter("b", np.ones(3))]

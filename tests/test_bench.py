@@ -142,6 +142,39 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(raw)
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("evaluation", "seeds", "12"), ("evaluation", "seeds", 12),
+        ("evaluation", "alphas", "0.2"), ("evaluation", "alphas", 0.2),
+        ("schema", "vang_nodes", "b5:a"), ("schema", "vmag_buses", "b2")])
+    def test_list_keys_refuse_a_string_or_scalar(self, section, key, value):
+        with pytest.raises(ConfigError, match=f"{section}.{key}: expected a list"):
+            ExperimentConfig.from_dict({section: {key: value}})
+
+    def test_list_keys_parse_each_entry(self):
+        config = ExperimentConfig.from_dict({
+            "schema": {"vmag_buses": ["b2"], "vang_nodes": ["b5:a", "b8:a"]},
+            "evaluation": {"alphas": [0, "0.25"], "seeds": [3, "12"]}})
+        assert (config.vmag_buses, config.vang_nodes) == (("b2",), ("b5:a", "b8:a"))
+        assert (config.alphas, config.seeds) == ((0.0, 0.25), (3, 12))
+        with pytest.raises(ConfigError, match="evaluation.seeds"):
+            ExperimentConfig.from_dict({"evaluation": {"seeds": [1, "x"]}})
+
+    @pytest.mark.parametrize("model", [{"groups": 0}, {"heads": 0}, {"d": 0}, {"d_ff": 0},
+                                       {"blocks": -1}, {"epochs": -1}, {"lr": -1.0},
+                                       {"lr": float("nan")}, {"lr": float("inf")}])
+    def test_impossible_model_sizes_and_rates_are_config_errors(self, model):
+        with pytest.raises(ConfigError, match=next(iter(model))):
+            ExperimentConfig(model=model).validate()
+        ExperimentConfig(model={"epochs": 0, "lr": 0.0}).validate()
+
+    def test_training_split_must_hold_a_window(self):
+        # build_dataset's split: max(1, round(train_fraction * steps)) steps
+        ExperimentConfig(steps=40, train_fraction=0.2, model={"window": 8}).validate()
+        with pytest.raises(ConfigError, match=r"training split \(4 of 40 steps"):
+            ExperimentConfig(steps=40, train_fraction=0.1, model={"window": 8}).validate()
+        with pytest.raises(ConfigError, match=r"training split \(1 of 40 steps"):
+            ExperimentConfig(steps=40, train_fraction=0.01, model={"window": 2}).validate()
+
     def test_unknown_model_key_rejected(self):
         with pytest.raises(ConfigError, match="heads_per_group"):
             ExperimentConfig(model={"heads_per_group": 2}).validate()
@@ -153,7 +186,8 @@ class TestConfig:
             ExperimentConfig(model=model).validate()
 
     def test_window_must_be_shorter_than_steps(self):
-        ExperimentConfig(steps=9, model={"window": 8}).validate()
+        # train_fraction 0.9 keeps a training split of 8 steps, one full window
+        ExperimentConfig(steps=9, train_fraction=0.9, model={"window": 8}).validate()
         with pytest.raises(ConfigError):
             ExperimentConfig(steps=8, model={"window": 8}).validate()
         with pytest.raises(ConfigError):

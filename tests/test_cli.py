@@ -186,6 +186,39 @@ class TestExitCodes:
         assert result.returncode == 2
         assert "--jobs" in result.stderr
 
+    @pytest.mark.parametrize("key, value", [("groups", 0), ("heads", 0), ("d", 0), ("d_ff", 0),
+                                            ("blocks", -1), ("window", -2), ("epochs", -1),
+                                            ("lr", -1), ("lr", ".nan"), ("lr", ".inf")])
+    def test_impossible_model_size_or_rate_is_exit_2(self, tmp_path, key, value):
+        cfg = dict(CONFIG, output_dir=str(tmp_path / "out"))
+        cfg["model"] = dict(cfg["model"], **{key: "VALUE"})
+        path = tmp_path / "bad_model.yaml"
+        path.write_text(yaml.safe_dump(cfg).replace("VALUE", str(value)))
+        result = run_cli("train", "--config", str(path))
+        assert_input_error(result, key)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("evaluation", "seeds", '"12"'), ("evaluation", "seeds", "12"),
+        ("evaluation", "alphas", '"0.2"'), ("schema", "vang_nodes", '"b5:a"'),
+        ("schema", "vmag_buses", "b2")])
+    def test_list_key_given_a_string_or_scalar_is_exit_2(self, tmp_path, section, key, value):
+        cfg = dict(CONFIG, output_dir=str(tmp_path / "out"))
+        cfg[section] = dict(cfg[section], **{key: "VALUE"})
+        path = tmp_path / "scalar.yaml"
+        path.write_text(yaml.safe_dump(cfg).replace("VALUE", value))
+        for command in ("gen", "sweep"):
+            assert_input_error(run_cli(command, "--config", str(path)), f"{section}.{key}")
+        assert not (tmp_path / "out").exists()
+
+    def test_training_split_shorter_than_the_window_is_exit_2(self, tmp_path):
+        cfg = dict(CONFIG, output_dir=str(tmp_path / "out"), train_fraction=0.1)
+        cfg["model"] = dict(cfg["model"], window=8)
+        path = tmp_path / "short_split.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        assert_input_error(run_cli("sweep", "--config", str(path)), "training split (4 of 40 steps")
+        assert not (tmp_path / "out").exists()
+
     def test_window_not_shorter_than_steps_is_exit_2(self, tmp_path):
         cfg = dict(CONFIG)
         cfg["output_dir"] = str(tmp_path / "out")

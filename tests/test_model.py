@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -190,68 +191,193 @@ class TestGqa:
         assert out.shape == (5, 8)
 
 
+def gate_forward(x, gp):
+    """The gate network of cross_gate from primitive tape ops: relu hidden,
+    sigmoid output in (0, 1)."""
+    tape = x.tape
+    hidden = ad.relu(ad.linear(x, tape.watch(gp.w1), tape.watch(gp.b1)))
+    return ad.sigmoid(ad.linear(hidden, tape.watch(gp.w2), tape.watch(gp.b2)))
+
+
 class TestCrossGate:
     @pytest.fixture()
     def gates(self):
         rng = np.random.default_rng(7)
-        return M._gate("g1", 4, 8, rng), M._gate("g2", 4, 8, rng)
+        return M._stacked("g", M._gate("g1", 4, 8, rng), M._gate("g2", 4, 8, rng))
 
     def test_closed_gate_identity(self, gates):
-        g1, g2 = gates
-        for g in gates:
-            g.w2.value[:] = 0.0
-            g.b2.value[:] = -30.0
+        gates.w2.value[:] = 0.0
+        gates.b2.value[:] = -30.0
         rng = np.random.default_rng(8)
-        tape = ad.Tape()
-        a1 = tape.constant(rng.normal(size=(3, 4)))
-        a2 = tape.constant(rng.normal(size=(3, 4)))
-        h1, h2 = M.cross_gate(a1, a2, g1, g2)
-        assert np.max(np.abs(h1.value - a1.value)) < 1e-9
-        assert np.max(np.abs(h2.value - a2.value)) < 1e-9
+        a1v, a2v = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+        h1, h2 = M.cross_gate(ad.Tape().constant(np.stack([a1v, a2v])), gates).value
+        assert np.max(np.abs(h1 - a1v)) < 1e-9
+        assert np.max(np.abs(h2 - a2v)) < 1e-9
 
     def test_open_gate_additive_fusion(self, gates):
-        g1, g2 = gates
-        for g in gates:
-            g.w2.value[:] = 0.0
-            g.b2.value[:] = +30.0
+        gates.w2.value[:] = 0.0
+        gates.b2.value[:] = +30.0
         rng = np.random.default_rng(9)
-        tape = ad.Tape()
-        a1 = tape.constant(rng.normal(size=(3, 4)))
-        a2 = tape.constant(rng.normal(size=(3, 4)))
-        h1, h2 = M.cross_gate(a1, a2, g1, g2)
-        assert np.max(np.abs(h1.value - (a2.value + a1.value))) < 1e-9
-        assert np.max(np.abs(h2.value - (a1.value + a2.value))) < 1e-9
+        a1v, a2v = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+        h1, h2 = M.cross_gate(ad.Tape().constant(np.stack([a1v, a2v])), gates).value
+        assert np.max(np.abs(h1 - (a2v + a1v))) < 1e-9
+        assert np.max(np.abs(h2 - (a1v + a2v))) < 1e-9
 
     def test_matches_elementwise_oracle(self, gates):
-        g1, g2 = gates
         rng = np.random.default_rng(10)
         a1v = rng.normal(size=(3, 4))
         a2v = rng.normal(size=(3, 4))
-        tape = ad.Tape()
-        h1, h2 = M.cross_gate(tape.constant(a1v), tape.constant(a2v), g1, g2)
+        h1, h2 = M.cross_gate(ad.Tape().constant(np.stack([a1v, a2v])), gates).value
 
-        def gate_series(x, gp):
-            hidden = np.maximum(x @ gp.w1.value + gp.b1.value, 0.0)
-            return 1.0 / (1.0 + np.exp(-(hidden @ gp.w2.value + gp.b2.value)))
+        def gate_series(x, k):
+            hidden = np.maximum(x @ gates.w1.value[k] + gates.b1.value[k], 0.0)
+            return 1.0 / (1.0 + np.exp(-(hidden @ gates.w2.value[k] + gates.b2.value[k])))
 
         expected1 = np.empty((3, 4))
         expected2 = np.empty((3, 4))
-        gate2 = gate_series(a2v, g2)
-        gate1 = gate_series(a1v, g1)
+        gate2 = gate_series(a2v, 1)
+        gate1 = gate_series(a1v, 0)
         for t in range(3):
             for j in range(4):
                 expected1[t, j] = gate2[t, j] * a2v[t, j] + a1v[t, j]
                 expected2[t, j] = gate1[t, j] * a1v[t, j] + a2v[t, j]
-        assert np.max(np.abs(h1.value - expected1)) < 1e-12
-        assert np.max(np.abs(h2.value - expected2)) < 1e-12
+        assert np.max(np.abs(h1 - expected1)) < 1e-12
+        assert np.max(np.abs(h2 - expected2)) < 1e-12
 
     def test_gate_outputs_strictly_inside_unit_interval(self, gates):
-        g1, _ = gates
         rng = np.random.default_rng(11)
         tape = ad.Tape()
-        out = M.gate_forward(tape.constant(rng.normal(scale=3.0, size=(6, 4))), g1)
-        assert np.all(out.value > 0.0)
-        assert np.all(out.value < 1.0)
+        a = tape.constant(rng.normal(scale=3.0, size=(2, 6, 4)))
+        gate = tape.ctx[M.cross_gate(a, gates).idx][1]  # kept for the backward pass
+        assert np.array_equal(gate, gate_forward(a, gates).value)
+        assert np.all(gate > 0.0)
+        assert np.all(gate < 1.0)
+
+
+def _per_branch(group):
+    """Per-branch copies of a branch-stacked parameter set."""
+    return [type(group)(**{f.name: ad.Parameter(f"{getattr(group, f.name).name}[{k}]",
+                                                getattr(group, f.name).value[k].copy())
+                           for f in dataclasses.fields(group)})
+            for k in range(2)]
+
+
+class PerBranchReference:
+    """The DT forward pass with one parameter set per branch, from the ops a
+    per-branch model records: an attention op per branch, a gate of linear,
+    relu, linear and sigmoid ops with mul and add per branch, an output
+    projection per branch and concat_lastdim. Its numbers are the model's;
+    the projections and head are the model's own Parameters."""
+
+    def __init__(self, model):
+        self.model = model
+        self.blocks = [(_per_branch(attn), _per_branch(gate)) for attn, gate in model.blocks]
+        self.out = _per_branch(model.out)
+        self.pairs = {}  # stacked Parameter name -> its two per-branch Parameters
+        for stacked, branches in [*zip([g for block in model.blocks for g in block],
+                                       [g for block in self.blocks for g in block]),
+                                  (model.out, self.out)]:
+            for f in dataclasses.fields(stacked):
+                self.pairs[getattr(stacked, f.name).name] = [getattr(b, f.name) for b in branches]
+
+    def forward(self, tape, window):
+        m, cfg = self.model, self.model.config
+        x1 = M.project_branch(tape, window.z_power, m.proj1, m.pos)
+        x2 = M.project_branch(tape, window.z_volt, m.proj2, m.pos)
+        for (attn1, attn2), (gate1, gate2) in self.blocks:
+            a1 = M.gqa_attention(x1, attn1, cfg.heads, cfg.groups)
+            a2 = M.gqa_attention(x2, attn2, cfg.heads, cfg.groups)
+            x1 = ad.add(ad.mul(gate_forward(a2, gate2), a2), a1)
+            x2 = ad.add(ad.mul(gate_forward(a1, gate1), a1), a2)
+        merged = ad.concat_lastdim(M.affine(x1, self.out[0]), M.affine(x2, self.out[1]))
+        return M.affine(ad.relu(M.affine(merged, m.head1)), m.head2)
+
+    def grads(self):
+        """Every gradient in the model's parameter order, per-branch ones stacked."""
+        return {p.name: np.stack([q.grad for q in self.pairs[p.name]])
+                if p.name in self.pairs else p.grad for p in self.model.parameters()}
+
+
+class TestBranchStack:
+    @pytest.mark.parametrize("shape", [
+        dict(d=4, d_ff=8, blocks=1, heads=2, groups=1, window=2, positional_encoding=False),
+        dict(d=8, d_ff=16, blocks=2, heads=4, groups=2, window=5, positional_encoding=True),
+    ])
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_forward_and_every_gradient_equal_the_per_branch_reference(self, shape, lead):
+        model = M.DtModel(tiny_config(**shape, seed=17))
+        reference = PerBranchReference(model)
+        t_len = model.config.window
+        rng = np.random.default_rng(18)
+        window = M.Window(rng.normal(size=(*lead, t_len, 3)), rng.normal(size=(*lead, t_len, 2)),
+                          rng.normal(size=(*lead, t_len, 4)))
+        for tape_kind in (ad.Tape, ad.InferenceTape):
+            ref = reference.forward(tape_kind(), window).value
+            assert np.array_equal(model.forward_window(tape_kind(), window).value, ref)
+        tape = ad.Tape()
+        tape.backward(M.mse_loss(model.forward_window(tape, window), window.targets))
+        stacked = {p.name: p.grad for p in model.parameters()}
+        tape = ad.Tape()
+        tape.backward(M.mse_loss(reference.forward(tape, window), window.targets))
+        per_branch = reference.grads()
+        assert list(stacked) == list(per_branch)
+        for name, g in stacked.items():
+            assert g.shape == per_branch[name].shape and np.array_equal(g, per_branch[name]), name
+
+    def test_parameters_are_the_per_branch_draws_stacked(self):
+        cfg = tiny_config(seed=19, blocks=2)
+        model = M.DtModel(cfg)
+        # the draw order of a per-branch model: projections, then per block
+        # branch 1's attention and gate, branch 2's, then out1, out2 and head
+        rng = np.random.default_rng((cfg.seed, 0))
+        d, d_ff = cfg.d, cfg.d_ff
+        proj = [M._linear("", 3, d, rng), M._linear("", 2, d, rng)]
+        blocks = [[(M._gqa("", d, cfg.heads, cfg.groups, rng), M._gate("", d, d_ff, rng))
+                   for _ in range(2)] for _ in range(cfg.blocks)]
+        out = [M._linear("", d, d, rng) for _ in range(2)]
+        head = [M._linear("", 2 * d, d_ff, rng), M._linear("", d_ff, 4, rng)]
+        values = lambda group: [getattr(group, f.name).value for f in dataclasses.fields(group)]
+        stack = lambda a, b: [np.stack(pair) for pair in zip(values(a), values(b))]
+        expected = values(proj[0]) + values(proj[1])
+        for (attn1, gate1), (attn2, gate2) in blocks:
+            expected += stack(attn1, attn2) + stack(gate1, gate2)
+        expected += stack(*out) + values(head[0]) + values(head[1])
+        got = [p.value for p in model.parameters()]
+        assert len(got) == len(expected)
+        assert all(a.shape == b.shape and np.array_equal(a, b) for a, b in zip(got, expected))
+        assert [p.name for p in model.parameters()][4:12] == [
+            f"block0.{layer}.{leaf}" for layer, leaves in (("attn", "wq wk wv wo"),
+                                                           ("gate", "w1 b1 w2 b2"))
+            for leaf in leaves.split()]
+        assert model.param_count() == sum(v.size for v in expected)
+
+    def test_checkpoint_of_the_per_branch_layout_is_refused(self, tmp_path):
+        # the names and shapes a per-branch model wrote: block0.br1.attn.wq, out1.w, ...
+        model = M.DtModel(tiny_config(seed=21))
+        per_branch = []
+        for p in model.parameters():
+            block, _, rest = p.name.partition(".")
+            if block.startswith("block") or block == "out":
+                names = ([f"{block}.br{k}.{rest}" for k in (1, 2)] if block != "out"
+                         else [f"out{k}.{rest}" for k in (1, 2)])
+                per_branch += [ad.Parameter(n, v) for n, v in zip(names, p.value)]
+            else:
+                per_branch.append(p)
+        path = tmp_path / "old.json"
+        extra = {"model_kind": "dt", "model_config": dataclasses.asdict(model.config)}
+        ad.save_params(path, per_branch, extra=extra)
+        with pytest.raises(ConfigError, match="'block0.attn.wq' is missing"):
+            M.DtModel.load(path)
+
+    def test_default_forward_records_44_ops_and_26_parameter_leaves(self):
+        cfg = M.ModelConfig(n_states=4, power_channels=(0, 1, 2), voltage_channels=(3, 4))
+        model = M.DtModel(cfg)
+        rng = np.random.default_rng(20)
+        tape = ad.Tape()
+        model.forward_window(tape, M.Window(rng.normal(size=(cfg.window, 3)),
+                                            rng.normal(size=(cfg.window, 2)), None))
+        assert len(tape.ops) == 44
+        assert sum(p is not None for p in tape.params) == len(model.parameters()) == 26
 
 
 class TestLoss:
