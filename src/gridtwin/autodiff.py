@@ -8,7 +8,8 @@ into a fresh tape each step via Tape.watch; backward overwrites their .grad
 
 Supported ops: matmul, add, sub, mul, scale, transpose, row_softmax,
 sigmoid, relu, concat_lastdim, slice_lastdim, mean_all, square, the branch
-ops stack_branches and merge_branches, and three fused ops with hand-written
+ops stack_branches and merge_branches (one or more branches on a branch
+axis, (..., k, T, d), and back), and three fused ops with hand-written
 backward passes: linear (x @ w + b), attention (a whole grouped-query
 attention block with its residual) and cross_gate (the two-branch gated
 fusion). Elementwise ops broadcast only over the leading axis ((T, d) op
@@ -345,37 +346,36 @@ def _back_mean_all(tape, i, g, grads):
     _accumulate(grads, src, np.full_like(tape.values[src], float(g) / tape.ctx[i]))
 
 
-# --- branch axis: two branch tensors side by side, (..., 2, T, d) ---
+# --- branch axis: k branch tensors side by side, (..., k, T, d) ---
 
-def stack_branches(a, b):
-    """Two (..., T, d) tensors stacked on a branch axis: (..., 2, T, d)."""
-    tape = _tape_of(a, b)
-    if a.shape != b.shape or a.value.ndim < 2:
-        raise ShapeMismatch(f"stack_branches shapes {a.shape} and {b.shape}")
-    return tape._record("stack_branches", (a.idx, b.idx),
-                        np.concatenate([a.value[..., None, :, :], b.value[..., None, :, :]],
-                                       axis=-3))
+def stack_branches(*xs):
+    """One or more (..., T, d) tensors of one shape stacked on a branch axis:
+    (..., k, T, d)."""
+    if not xs or xs[0].value.ndim < 2 or any(x.shape != xs[0].shape for x in xs):
+        raise ShapeMismatch(f"stack_branches shapes {[x.shape for x in xs]}")
+    value = np.concatenate([x.value[..., None, :, :] for x in xs], axis=-3)
+    return _tape_of(*xs)._record("stack_branches", tuple(x.idx for x in xs), value)
 
 
 def _back_stack_branches(tape, i, g, grads):
-    ia, ib = tape.inputs[i]
-    _accumulate(grads, ia, g[..., 0, :, :])
-    _accumulate(grads, ib, g[..., 1, :, :])
+    for b, ix in enumerate(tape.inputs[i]):
+        _accumulate(grads, ix, g[..., b, :, :])
 
 
 def merge_branches(a):
-    """(..., 2, T, d) -> (..., T, 2d): the two branch slices side by side on
-    the last axis, as concat_lastdim of the two would give."""
-    if a.value.ndim < 3 or a.shape[-3] != 2:
-        raise ShapeMismatch(f"merge_branches needs a branch axis of 2, got {a.shape}")
+    """(..., k, T, d) -> (..., T, k*d): the branch slices side by side on the
+    last axis, as concat_lastdim of them would give."""
+    if a.value.ndim < 3:
+        raise ShapeMismatch(f"merge_branches needs a branch axis, got {a.shape}")
     *lead, t_len, _ = a.shape
     return a.tape._record("merge_branches", (a.idx,),
-                          a.value.swapaxes(-3, -2).reshape(*lead[:-1], t_len, -1))
+                          a.value.swapaxes(-3, -2).reshape(*lead[:-1], t_len, -1), ctx=lead[-1])
 
 
 def _back_merge_branches(tape, i, g, grads):
-    # (..., T, 2d) -> (..., T, 2, d) -> (..., 2, T, d), a view of g
-    _accumulate(grads, tape.inputs[i][0], g.reshape(*g.shape[:-1], 2, -1).swapaxes(-3, -2))
+    # (..., T, k*d) -> (..., T, k, d) -> (..., k, T, d), a view of g
+    _accumulate(grads, tape.inputs[i][0],
+                g.reshape(*g.shape[:-1], tape.ctx[i], -1).swapaxes(-3, -2))
 
 
 # --- fused layers; leading axes of the input are batch or weight axes ---

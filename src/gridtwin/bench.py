@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -87,6 +88,17 @@ class ExperimentConfig:
             raise ConfigError("at least one evaluation seed is required")
         if not 0.0 <= self.train_alpha < 1.0:
             raise ConfigError("train_alpha must lie in [0, 1)")
+        for key in ("power_sigma", "vmag_sigma", "vang_sigma"):
+            if not 0.0 < getattr(self, key) < math.inf:
+                raise ConfigError(f"schema.{key} must be positive and finite")
+        if self.day_steps < 1:
+            raise ConfigError("profile.day_steps must be at least 1")
+        for key, values in (("noise_seed", [self.noise_seed]),
+                            ("profile.seed", [self.profile_seed]),
+                            ("evaluation.seeds", self.seeds),
+                            ("evaluation.wls_failure_seeds", [self.wls_failure_seeds])):
+            if min(values) < 0:
+                raise ConfigError(f"{key} must not be negative")
         unknown = set(self.model) - {f.name for f in fields(ModelConfig)}
         if unknown:
             raise ConfigError(f"unknown model keys: {sorted(unknown)}")
@@ -96,14 +108,7 @@ class ExperimentConfig:
                                    **self.model})
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"model: {exc}") from None
-        if model.window >= self.steps:
-            raise ConfigError(f"model window {model.window} must be shorter than steps "
-                              f"{self.steps}")
-        split = train_split(self.train_fraction, self.steps)
-        if split < model.window:
-            raise ConfigError(f"the training split ({split} of {self.steps} steps at "
-                              f"train_fraction {self.train_fraction}) is shorter than the "
-                              f"model window {model.window}")
+        check_window(model.window, self.steps, self.train_fraction)
         return self
 
     def to_dict(self):
@@ -193,6 +198,17 @@ CONFIG_LAYOUT = (
     (None, "output_dir", "output_dir", str),
 )
 CONFIG_SECTIONS = tuple(dict.fromkeys(section for section, *_ in CONFIG_LAYOUT if section))
+
+
+def check_window(window, steps, train_fraction):
+    """The window rule of a config and of a loaded dataset: more steps than
+    the window, and a training split at least one window long."""
+    if window >= steps:
+        raise ConfigError(f"model window {window} must be shorter than the {steps} steps")
+    split = train_split(train_fraction, steps)
+    if split < window:
+        raise ConfigError(f"the training split ({split} of {steps} steps at train_fraction "
+                          f"{train_fraction}) is shorter than the model window {window}")
 
 
 def resolve_feeder(config):
@@ -569,7 +585,7 @@ def write_history_csv(path, history):
 
 
 def load_dataset_for(config, measurements=None, states=None):
-    """Dataset from CSVs when provided, else regenerated from the config."""
+    """Dataset from CSVs when provided, else generated; it must fit the window."""
     if (measurements is None) != (states is None):
         raise ConfigError("measurements and states CSVs must be given together")
     if measurements is not None:
@@ -577,5 +593,7 @@ def load_dataset_for(config, measurements=None, states=None):
         schema = make_schema(config, feeder, alpha=config.train_alpha)
         dataset = import_csv(measurements, states, schema,
                              train_fraction=config.train_fraction)
-        return feeder, schema, dataset
-    return generate_dataset(config)
+    else:
+        feeder, schema, dataset = generate_dataset(config)
+    check_window(model_config(config, dataset).window, dataset.n_steps, config.train_fraction)
+    return feeder, schema, dataset

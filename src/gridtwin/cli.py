@@ -96,8 +96,8 @@ def _out_dir(config):
 
 def cmd_gen(args):
     config = _load_config(args)
-    out = _out_dir(config)
     _, _, dataset = load_dataset_for(config)
+    out = _out_dir(config)
     export_csv(dataset, out / "measurements.csv", out / "states.csv")
     print(f"wrote {out / 'measurements.csv'} and {out / 'states.csv'} "
           f"({dataset.n_steps} steps, {dataset.n_channels} channels, "
@@ -107,8 +107,8 @@ def cmd_gen(args):
 
 def cmd_train(args):
     config = _load_config(args)
-    out = _out_dir(config)
     _, _, dataset = load_dataset_for(config, args.measurements, args.states)
+    out = _out_dir(config)
     mcfg = model_config(config, dataset)
     model, history = train(dataset, mcfg)
     model.save(out / "checkpoint.json")
@@ -121,8 +121,8 @@ def cmd_train(args):
 
 def cmd_eval(args):
     config = _load_config(args)
-    out = _out_dir(config)
     _, _, dataset = load_dataset_for(config, args.measurements, args.states)
+    out = _out_dir(config)
     checkpoint = args.checkpoint or (out / "checkpoint.json")
     if not Path(checkpoint).exists():
         raise ConfigError(f"checkpoint not found: {checkpoint}")
@@ -147,8 +147,8 @@ def cmd_eval(args):
 
 def cmd_wls(args):
     config = _load_config(args)
-    out = _out_dir(config)
     feeder, _, dataset = load_dataset_for(config, args.measurements, args.states)
+    out = _out_dir(config)
     window = model_config(config, dataset).window
 
     def point(alpha, seed):

@@ -1,28 +1,30 @@
 """Interactive attention estimator for voltage states.
 
-Two measurement branches (power channels, voltage channels) are projected
-into a shared latent width, tagged with sinusoidal positional encodings, and
-stacked on a branch axis, (..., 2, T, d). N series fusion blocks follow. Each
-runs grouped-query attention on both branches at once (keys/values computed
-once per group and shared by the query heads of that group, plus a residual;
-each branch has its own weights), then exchanges information through
-sigmoid cross-gates:
+One pipeline serves both estimators. A window's channels form k branches,
+each projected into a shared latent width, tagged with sinusoidal
+positional encodings, and stacked on a branch axis, (..., k, T, d). N series
+blocks follow. Each runs grouped-query attention on all branches at once
+(keys/values computed once per group and shared by the query heads of that
+group, plus a residual; each branch has its own weights). With two branches
+the block then exchanges information through sigmoid cross-gates:
 
     H1 = gate2(a2) * a2 + a1        H2 = gate1(a1) * a1 + a2
 
 Branch outputs are linearly projected, set side by side, and decoded by a
-two-layer head into per-step rectangular voltage states. Training minimizes
+two-layer head into per-step rectangular voltage states. The DT model has
+two branches, power channels and voltage channels; the concatenation
+ablation has one branch of all channels, so no gate. Training minimizes
 mean squared error over the whole window with fresh Bernoulli input masks
 drawn every epoch as augmentation, one optimizer step per window; the
 optimizer is plain SGD unless the config opts into Adam.
 
-Every branch pair of weights after the input projections is one Parameter
-with a leading branch axis of 2, drawn branch by branch in the order of a
+Every set of branch weights after the input projections is one Parameter
+with a leading branch axis of k, drawn branch by branch in the order of a
 per-branch model. On the tape every affine layer is one `linear` op, every
 attention block one fused `attention` op and every cross-gate one fused
-`cross_gate` op, so a forward pass records 44 ops at the default shape (two
-blocks). Each branch keeps the float operations of a per-branch model, so
-outputs and gradients match one bit for bit. Inputs may carry a leading
+`cross_gate` op, so a DT forward pass records 44 ops at the default shape
+(two blocks). Each branch keeps the float operations of a per-branch model,
+so outputs and gradients match one bit for bit. Inputs may carry a leading
 batch axis, (B, T, m): predict_series runs all requested windows as one
 batch, with the same float operations per window as a single-window pass.
 Forward passes that need no gradient (estimate_voltages, the validation pass
@@ -62,8 +64,9 @@ class ModelConfig:
         for name in ("d", "d_ff", "blocks", "heads", "groups", "window"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
-        if self.epochs < 0:
-            raise ValueError("epochs must not be negative")
+        for name in ("epochs", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must not be negative")
         if not (math.isfinite(self.lr) and self.lr >= 0):
             raise ValueError(f"lr must be finite and non-negative, got {self.lr}")
         if self.heads % self.groups != 0:
@@ -151,13 +154,13 @@ def _gate(name, d, d_ff, rng):
     )
 
 
-def _stacked(name, first, second):
-    """A branch pair of parameter sets as one set, each Parameter holding the
-    two branches' arrays stacked on a leading branch axis."""
-    return type(first)(**{
-        f.name: ad.Parameter(f"{name}.{f.name}", np.stack([getattr(first, f.name).value,
-                                                           getattr(second, f.name).value]))
-        for f in fields(first)
+def _stacked(name, *sets):
+    """Per-branch parameter sets as one set, each Parameter holding the
+    branches' arrays stacked on a leading branch axis."""
+    return type(sets[0])(**{
+        f.name: ad.Parameter(f"{name}.{f.name}",
+                             np.stack([getattr(branch, f.name).value for branch in sets]))
+        for f in fields(sets[0])
     })
 
 
@@ -245,10 +248,12 @@ def mse_loss(pred, targets):
 
 
 class Estimator:
-    """Plumbing the two estimators share: the parameter walk, its count and
-    the checkpoint. `kind` names the class in a checkpoint's `model_kind`.
-    Each class keeps its own `forward_window` and `save` (and the ablation its
-    `estimate_voltages`) in its class body, where perfbench wraps them."""
+    """The pipeline of the module docstring over k branches. A subclass states
+    its `kind`, its checkpoint's `model_kind`, and `branches(z_power,
+    z_volt)`, the tuple of its branch inputs; a cross-gate follows each
+    attention block exactly when k = 2. Each subclass keeps `forward_window`
+    and `save` (the ablation also `estimate_voltages`) in its class body,
+    where perfbench wraps them."""
 
     kind = None
 
@@ -256,6 +261,37 @@ class Estimator:
         self.config = config
         self.pos = (positional_table(config.window, config.d)
                     if config.positional_encoding else None)
+        rng = np.random.default_rng((config.seed, 0))
+        d, d_ff = config.d, config.d_ff
+        widths = [z.shape[-1] for z in self.branches(np.empty((0, len(config.power_channels))),
+                                                     np.empty((0, len(config.voltage_channels))))]
+        self.projs = tuple(_linear(f"proj{b + 1}", m, d, rng) for b, m in enumerate(widths))
+        blocks = []
+        for i in range(config.blocks):
+            drawn = [[_gqa("", d, config.heads, config.groups, rng)]
+                     + ([_gate("", d, d_ff, rng)] if len(widths) == 2 else []) for _ in widths]
+            blocks.append(tuple(_stacked(f"block{i}.{layer}", *sets)
+                                for layer, sets in zip(("attn", "gate"), zip(*drawn))))
+        self.blocks = tuple(blocks)  # (attn,) or (attn, gate) per block
+        self.out = _stacked("out", *(_linear("", d, d, rng) for _ in widths))
+        self.head1 = _linear("head1", len(widths) * d, d_ff, rng)
+        self.head2 = _linear("head2", d_ff, config.n_states, rng)
+
+    def layers(self):
+        return (*self.projs, *(p for block in self.blocks for p in block),
+                self.out, self.head1, self.head2)
+
+    def forward_window(self, tape, window):
+        cfg = self.config
+        x = ad.stack_branches(*(project_branch(tape, z, proj, self.pos) for z, proj
+                                in zip(self.branches(window.z_power, window.z_volt), self.projs)))
+        for attn, *gate in self.blocks:
+            x = gqa_attention(x, attn, cfg.heads, cfg.groups)
+            if gate:
+                x = cross_gate(x, *gate)
+        merged = ad.merge_branches(affine(x, self.out))
+        hidden = ad.relu(affine(merged, self.head1))
+        return affine(hidden, self.head2)
 
     def parameters(self):
         """Every Parameter of `layers()` in order; this order is the
@@ -312,83 +348,28 @@ class Estimator:
 
 
 class DtModel(Estimator):
-    """Two-branch interactive attention model; all parameters float64."""
+    """Two-branch model: power and voltage channels, fused by cross-gates."""
 
     kind = "dt"
 
-    def __init__(self, config):
-        super().__init__(config)
-        rng = np.random.default_rng((config.seed, 0))
-        d, d_ff = config.d, config.d_ff
-        m_p, m_v = len(config.power_channels), len(config.voltage_channels)
-        self.proj1 = _linear("proj1", m_p, d, rng)
-        self.proj2 = _linear("proj2", m_v, d, rng)
-        blocks = []
-        for i in range(config.blocks):
-            (attn1, gate1), (attn2, gate2) = [
-                (_gqa("", d, config.heads, config.groups, rng), _gate("", d, d_ff, rng))
-                for _ in range(2)
-            ]
-            blocks.append((_stacked(f"block{i}.attn", attn1, attn2),
-                           _stacked(f"block{i}.gate", gate1, gate2)))
-        self.blocks = tuple(blocks)
-        self.out = _stacked("out", _linear("", d, d, rng), _linear("", d, d, rng))
-        self.head1 = _linear("head1", 2 * d, d_ff, rng)
-        self.head2 = _linear("head2", d_ff, config.n_states, rng)
+    @staticmethod
+    def branches(z_power, z_volt):
+        return z_power, z_volt
 
-    def layers(self):
-        return (self.proj1, self.proj2, *(p for block in self.blocks for p in block),
-                self.out, self.head1, self.head2)
-
-    def forward_window(self, tape, window):
-        cfg = self.config
-        x = ad.stack_branches(project_branch(tape, window.z_power, self.proj1, self.pos),
-                              project_branch(tape, window.z_volt, self.proj2, self.pos))
-        for attn, gate in self.blocks:
-            x = cross_gate(gqa_attention(x, attn, cfg.heads, cfg.groups), gate)
-        merged = ad.merge_branches(affine(x, self.out))
-        hidden = ad.relu(affine(merged, self.head1))
-        return affine(hidden, self.head2)
-
+    forward_window = Estimator.forward_window
     save = Estimator.save
 
 
 class ConcatBaselineModel(Estimator):
-    """Single-vector ablation: all channels concatenated into one branch.
-
-    One linear projection, the same attention stack (no cross-gating), one
-    output projection, and the same two-layer head.
-    """
+    """Concatenation ablation: all channels in one branch, so no cross-gate."""
 
     kind = "concat_baseline"
 
-    def __init__(self, config):
-        super().__init__(config)
-        rng = np.random.default_rng((config.seed, 0))
-        d, d_ff = config.d, config.d_ff
-        m = len(config.power_channels) + len(config.voltage_channels)
-        self.proj = _linear("ab.proj", m, d, rng)
-        self.blocks = tuple(
-            _gqa(f"ab.block{i}.attn", d, config.heads, config.groups, rng)
-            for i in range(config.blocks)
-        )
-        self.out = _linear("ab.out", d, d, rng)
-        self.head1 = _linear("ab.head1", d, d_ff, rng)
-        self.head2 = _linear("ab.head2", d_ff, config.n_states, rng)
+    @staticmethod
+    def branches(z_power, z_volt):
+        return (np.concatenate([z_power, z_volt], axis=-1),)
 
-    def layers(self):
-        return (self.proj, self.out, self.head1, self.head2, *self.blocks)
-
-    def forward_window(self, tape, window):
-        cfg = self.config
-        z = np.concatenate([window.z_power, window.z_volt], axis=-1)
-        x = project_branch(tape, z, self.proj, self.pos)
-        for blk in self.blocks:
-            x = gqa_attention(x, blk, cfg.heads, cfg.groups)
-        o = affine(x, self.out)
-        hidden = ad.relu(affine(o, self.head1))
-        return affine(hidden, self.head2)
-
+    forward_window = Estimator.forward_window
     estimate_voltages = Estimator.estimate_voltages
     save = Estimator.save
 

@@ -330,7 +330,17 @@ class TestGradCheck:
         with pytest.raises(ShapeMismatch):
             ad.stack_branches(tape.constant(np.zeros(4)), tape.constant(np.zeros(4)))
         with pytest.raises(ShapeMismatch):
-            ad.merge_branches(tape.constant(np.zeros((3, 3, 4))))
+            ad.stack_branches()
+        with pytest.raises(ShapeMismatch):
+            ad.merge_branches(tape.constant(np.zeros((3, 4))))
+        # any branch count merges: three branches of (3, 4) side by side
+        three = np.arange(36.0).reshape(3, 3, 4)
+        assert np.array_equal(ad.merge_branches(tape.constant(three)).value,
+                              np.concatenate(list(three), axis=-1))
+        # one branch: stack and merge give the input back
+        one = ad.stack_branches(b)
+        assert one.shape == (1, 3, 5)
+        assert np.array_equal(ad.merge_branches(one).value, b.value)
         stacked = ad.stack_branches(a, tape.constant(np.ones((3, 4))))
         assert stacked.shape == (2, 3, 4)
         merged = ad.merge_branches(stacked)

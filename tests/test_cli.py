@@ -1,10 +1,13 @@
+import dataclasses
 import subprocess
 import sys
 
 import pytest
 import yaml
 
+from gridtwin import autodiff as ad
 from gridtwin.bench import read_metrics_csv
+from gridtwin.model import ConcatBaselineModel, ModelConfig
 
 CONFIG = {
     "format_version": 1,
@@ -230,6 +233,30 @@ class TestExitCodes:
         assert "window" in result.stderr
 
 
+    @pytest.mark.parametrize("section, key, value, text", [
+        ("schema", "power_sigma", 0.0, "schema.power_sigma"),
+        ("schema", "vmag_sigma", -0.001, "schema.vmag_sigma"),
+        ("schema", "vang_sigma", 0.0, "schema.vang_sigma"),
+        ("profile", "day_steps", 0, "profile.day_steps"),
+        (None, "noise_seed", -1, "noise_seed"),
+        ("profile", "seed", -1, "profile.seed"),
+        ("model", "seed", -1, "seed"),
+        ("evaluation", "seeds", [0, -1], "evaluation.seeds"),
+        ("evaluation", "wls_failure_seeds", -1, "evaluation.wls_failure_seeds"),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_nonpositive_sigma_or_day_steps_or_negative_seed_is_exit_2(
+            self, tmp_path, section, key, value, text):
+        cfg = dict(CONFIG, output_dir=str(tmp_path / "out"))
+        if section is None:
+            cfg[key] = value
+        else:
+            cfg[section] = dict(cfg[section], **{key: value})
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        assert_input_error(run_cli("sweep", "--config", str(path)), text)
+        assert not (tmp_path / "out").exists()
+
+
 def assert_input_error(result, text):
     assert result.returncode == 2, result.stderr
     assert "Traceback" not in result.stderr
@@ -254,6 +281,19 @@ class TestBadInputFiles:
         result = run_cli("eval", "--config", str(config_path), "--checkpoint", str(checkpoint))
         assert_input_error(result, message)
 
+    def test_checkpoint_of_the_unstacked_ablation(self, config_path, tmp_path):
+        # the layout the ablation had before it became the one-branch pipeline
+        config = dict(CONFIG["model"], n_states=2, power_channels=(0,), voltage_channels=(1,))
+        model = ConcatBaselineModel(ModelConfig(**config))
+        old = [ad.Parameter("ab." + p.name.replace("proj1", "proj"),
+                            p.value[0] if p.name.startswith(("block", "out")) else p.value)
+               for p in model.parameters()]
+        checkpoint = tmp_path / "checkpoint_ablation.json"
+        ad.save_params(checkpoint, old, extra={"model_kind": model.kind,
+                                               "model_config": dataclasses.asdict(model.config)})
+        result = run_cli("eval", "--config", str(config_path), "--checkpoint", str(checkpoint))
+        assert_input_error(result, "'proj1.w' is missing")
+
     def test_report_on_csv_without_metrics_header(self, tmp_path):
         path = tmp_path / "metrics.csv"
         path.write_text("a,b\n1,2\n")
@@ -272,6 +312,27 @@ class TestBadInputFiles:
         result = run_cli("train", "--config", str(config_path), "--measurements",
                          str(out / "measurements.csv"), "--states", str(states))
         assert_input_error(result, "state layout")
+
+    @pytest.mark.parametrize("command", ["train", "eval", "wls"])
+    @pytest.mark.parametrize("rows, text", [(4, "model window 4 must be shorter than the 4 steps"),
+                                            (5, "training split (3 of 5 steps")],
+                             ids=["rows-within-window", "split-within-window"])
+    def test_imported_csv_that_does_not_fit_the_window(self, config_path, tmp_path, command,
+                                                       rows, text):
+        assert run_cli("gen", "--config", str(config_path)).returncode == 0
+        cut = {}
+        for name in ("measurements", "states"):
+            cut[name] = tmp_path / f"{name}.csv"
+            lines = (tmp_path / "out" / f"{name}.csv").read_text().splitlines()
+            cut[name].write_text("\n".join(lines[:1 + rows]) + "\n")
+        # at train_fraction 0.6, 5 rows keep a training split of 3 rows
+        path = tmp_path / "cut.yaml"
+        path.write_text(yaml.safe_dump(dict(CONFIG, train_fraction=0.6)))
+        out = tmp_path / "cut_out"
+        result = run_cli(command, "--config", str(path), "--out", str(out),
+                         "--measurements", str(cut["measurements"]), "--states", str(cut["states"]))
+        assert_input_error(result, text)
+        assert not out.exists()
 
     @pytest.mark.parametrize("change", [
         {"schema": dict(CONFIG["schema"], vmag_buses=["b2"])},

@@ -256,34 +256,45 @@ class TestCrossGate:
 
 def _per_branch(group):
     """Per-branch copies of a branch-stacked parameter set."""
-    return [type(group)(**{f.name: ad.Parameter(f"{getattr(group, f.name).name}[{k}]",
-                                                getattr(group, f.name).value[k].copy())
+    k = len(getattr(group, dataclasses.fields(group)[0].name).value)
+    return [type(group)(**{f.name: ad.Parameter(f"{getattr(group, f.name).name}[{b}]",
+                                                getattr(group, f.name).value[b].copy())
                            for f in dataclasses.fields(group)})
-            for k in range(2)]
+            for b in range(k)]
 
 
-class PerBranchReference:
-    """The DT forward pass with one parameter set per branch, from the ops a
-    per-branch model records: an attention op per branch, a gate of linear,
-    relu, linear and sigmoid ops with mul and add per branch, an output
-    projection per branch and concat_lastdim. Its numbers are the model's;
-    the projections and head are the model's own Parameters."""
+class _Unstacked:
+    """A model's forward pass with one parameter set per branch: the
+    branch-stacked layers as per-branch copies, the projections and head as
+    the model's own Parameters. Its numbers are the model's."""
 
     def __init__(self, model):
         self.model = model
-        self.blocks = [(_per_branch(attn), _per_branch(gate)) for attn, gate in model.blocks]
+        self.blocks = [[_per_branch(layer) for layer in block] for block in model.blocks]
         self.out = _per_branch(model.out)
-        self.pairs = {}  # stacked Parameter name -> its two per-branch Parameters
+        self.pairs = {}  # stacked Parameter name -> its per-branch Parameters
         for stacked, branches in [*zip([g for block in model.blocks for g in block],
                                        [g for block in self.blocks for g in block]),
                                   (model.out, self.out)]:
             for f in dataclasses.fields(stacked):
                 self.pairs[getattr(stacked, f.name).name] = [getattr(b, f.name) for b in branches]
 
+    def grads(self):
+        """Every gradient in the model's parameter order, per-branch ones stacked."""
+        return {p.name: np.stack([q.grad for q in self.pairs[p.name]])
+                if p.name in self.pairs else p.grad for p in self.model.parameters()}
+
+
+class PerBranchReference(_Unstacked):
+    """The DT forward pass from the ops a per-branch model records: an
+    attention op per branch, a gate of linear, relu, linear and sigmoid ops
+    with mul and add per branch, an output projection per branch and
+    concat_lastdim."""
+
     def forward(self, tape, window):
         m, cfg = self.model, self.model.config
-        x1 = M.project_branch(tape, window.z_power, m.proj1, m.pos)
-        x2 = M.project_branch(tape, window.z_volt, m.proj2, m.pos)
+        x1 = M.project_branch(tape, window.z_power, m.projs[0], m.pos)
+        x2 = M.project_branch(tape, window.z_volt, m.projs[1], m.pos)
         for (attn1, attn2), (gate1, gate2) in self.blocks:
             a1 = M.gqa_attention(x1, attn1, cfg.heads, cfg.groups)
             a2 = M.gqa_attention(x2, attn2, cfg.heads, cfg.groups)
@@ -292,37 +303,54 @@ class PerBranchReference:
         merged = ad.concat_lastdim(M.affine(x1, self.out[0]), M.affine(x2, self.out[1]))
         return M.affine(ad.relu(M.affine(merged, m.head1)), m.head2)
 
-    def grads(self):
-        """Every gradient in the model's parameter order, per-branch ones stacked."""
-        return {p.name: np.stack([q.grad for q in self.pairs[p.name]])
-                if p.name in self.pairs else p.grad for p in self.model.parameters()}
+
+class ConcatReference(_Unstacked):
+    """The ablation's forward pass with unstacked weights and no branch axis:
+    the concatenated channels through one projection, an attention op per
+    block, one output projection and the head."""
+
+    def forward(self, tape, window):
+        m, cfg = self.model, self.model.config
+        z = np.concatenate([window.z_power, window.z_volt], axis=-1)
+        x = M.project_branch(tape, z, m.projs[0], m.pos)
+        for ((attn,),) in self.blocks:
+            x = M.gqa_attention(x, attn, cfg.heads, cfg.groups)
+        return M.affine(ad.relu(M.affine(M.affine(x, self.out[0]), m.head1)), m.head2)
+
+
+def _assert_equals_reference(model, reference, lead):
+    """Forward output on both tapes and every gradient, bit for bit."""
+    t_len = model.config.window
+    rng = np.random.default_rng(18)
+    window = M.Window(rng.normal(size=(*lead, t_len, 3)), rng.normal(size=(*lead, t_len, 2)),
+                      rng.normal(size=(*lead, t_len, 4)))
+    for tape_kind in (ad.Tape, ad.InferenceTape):
+        ref = reference.forward(tape_kind(), window).value
+        assert np.array_equal(model.forward_window(tape_kind(), window).value, ref)
+    tape = ad.Tape()
+    tape.backward(M.mse_loss(model.forward_window(tape, window), window.targets))
+    stacked = {p.name: p.grad for p in model.parameters()}
+    tape = ad.Tape()
+    tape.backward(M.mse_loss(reference.forward(tape, window), window.targets))
+    unstacked = reference.grads()
+    assert list(stacked) == list(unstacked)
+    for name, g in stacked.items():
+        assert g.shape == unstacked[name].shape and np.array_equal(g, unstacked[name]), name
+
+
+SHAPES = [
+    dict(d=4, d_ff=8, blocks=1, heads=2, groups=1, window=2, positional_encoding=False),
+    dict(d=8, d_ff=16, blocks=2, heads=4, groups=2, window=5, positional_encoding=True),
+    dict(d=8, d_ff=16, blocks=2, heads=4, groups=4, window=3, positional_encoding=True),
+]
 
 
 class TestBranchStack:
-    @pytest.mark.parametrize("shape", [
-        dict(d=4, d_ff=8, blocks=1, heads=2, groups=1, window=2, positional_encoding=False),
-        dict(d=8, d_ff=16, blocks=2, heads=4, groups=2, window=5, positional_encoding=True),
-    ])
+    @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("lead", [(), (3,)])
     def test_forward_and_every_gradient_equal_the_per_branch_reference(self, shape, lead):
         model = M.DtModel(tiny_config(**shape, seed=17))
-        reference = PerBranchReference(model)
-        t_len = model.config.window
-        rng = np.random.default_rng(18)
-        window = M.Window(rng.normal(size=(*lead, t_len, 3)), rng.normal(size=(*lead, t_len, 2)),
-                          rng.normal(size=(*lead, t_len, 4)))
-        for tape_kind in (ad.Tape, ad.InferenceTape):
-            ref = reference.forward(tape_kind(), window).value
-            assert np.array_equal(model.forward_window(tape_kind(), window).value, ref)
-        tape = ad.Tape()
-        tape.backward(M.mse_loss(model.forward_window(tape, window), window.targets))
-        stacked = {p.name: p.grad for p in model.parameters()}
-        tape = ad.Tape()
-        tape.backward(M.mse_loss(reference.forward(tape, window), window.targets))
-        per_branch = reference.grads()
-        assert list(stacked) == list(per_branch)
-        for name, g in stacked.items():
-            assert g.shape == per_branch[name].shape and np.array_equal(g, per_branch[name]), name
+        _assert_equals_reference(model, PerBranchReference(model), lead)
 
     def test_parameters_are_the_per_branch_draws_stacked(self):
         cfg = tiny_config(seed=19, blocks=2)
@@ -378,6 +406,47 @@ class TestBranchStack:
                                             rng.normal(size=(cfg.window, 2)), None))
         assert len(tape.ops) == 44
         assert sum(p is not None for p in tape.params) == len(model.parameters()) == 26
+
+
+class TestConcatBaseline:
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_forward_and_every_gradient_equal_the_unstacked_reference(self, shape, lead):
+        model = M.ConcatBaselineModel(tiny_config(**shape, seed=23))
+        _assert_equals_reference(model, ConcatReference(model), lead)
+
+    def test_parameters_are_the_unstacked_draws(self):
+        cfg = tiny_config(seed=29, blocks=2)
+        model = M.ConcatBaselineModel(cfg)
+        # the draw order of the unstacked ablation: projection, attention per
+        # block, output projection, head; attention and output projection
+        # gain a branch axis of 1
+        rng = np.random.default_rng((cfg.seed, 0))
+        d, d_ff = cfg.d, cfg.d_ff
+        values = lambda group: [getattr(group, f.name).value for f in dataclasses.fields(group)]
+        expected = values(M._linear("", 5, d, rng))
+        for _ in range(cfg.blocks):
+            expected += [v[None] for v in values(M._gqa("", d, cfg.heads, cfg.groups, rng))]
+        expected += [v[None] for v in values(M._linear("", d, d, rng))]
+        expected += values(M._linear("", d, d_ff, rng)) + values(M._linear("", d_ff, 4, rng))
+        got = [p.value for p in model.parameters()]
+        assert len(got) == len(expected)
+        assert all(a.shape == b.shape and np.array_equal(a, b) for a, b in zip(got, expected))
+        assert [p.name for p in model.parameters()] == [
+            "proj1.w", "proj1.b",
+            *(f"block{i}.attn.{w}" for i in range(2) for w in ("wq", "wk", "wv", "wo")),
+            "out.w", "out.b", "head1.w", "head1.b", "head2.w", "head2.b"]
+
+    def test_forward_records_the_unstacked_ops_and_two_branch_ops(self):
+        model = M.ConcatBaselineModel(tiny_config(window=3, seed=37))
+        rng = np.random.default_rng(38)
+        window = M.Window(rng.normal(size=(3, 3)), rng.normal(size=(3, 2)), None)
+        tape, reference = ad.Tape(), ad.Tape()
+        model.forward_window(tape, window)
+        ConcatReference(model).forward(reference, window)
+        assert len(tape.ops) == len(reference.ops) + 2
+        assert [op for op in tape.ops if op.endswith("_branches")] == [
+            "stack_branches", "merge_branches"]
 
 
 class TestLoss:
