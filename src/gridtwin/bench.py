@@ -202,13 +202,17 @@ CONFIG_SECTIONS = tuple(dict.fromkeys(section for section, *_ in CONFIG_LAYOUT i
 
 def check_window(window, steps, train_fraction):
     """The window rule of a config and of a loaded dataset: more steps than
-    the window, and a training split at least one window long."""
+    the window, a training split at least one window long, and at least one
+    evaluation step after it."""
     if window >= steps:
         raise ConfigError(f"model window {window} must be shorter than the {steps} steps")
     split = train_split(train_fraction, steps)
     if split < window:
         raise ConfigError(f"the training split ({split} of {steps} steps at train_fraction "
                           f"{train_fraction}) is shorter than the model window {window}")
+    if split >= steps:
+        raise ConfigError(f"the training split ({split} of {steps} steps at train_fraction "
+                          f"{train_fraction}) leaves no evaluation step")
 
 
 def resolve_feeder(config):

@@ -311,8 +311,8 @@ def export_csv(dataset, measurements_path, states_path):
 
 def _read_table(path, header, what, blanks=False):
     """(values, blank) of a CSV whose first row must equal `header`: every
-    row has one cell per header entry, and every cell is a float, or, with
-    `blanks`, empty (a True in `blank`, 0.0 in `values`)."""
+    row has one cell per header entry, and every cell is a finite float, or,
+    with `blanks`, empty (a True in `blank`, 0.0 in `values`)."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
@@ -333,6 +333,11 @@ def _read_table(path, header, what, blanks=False):
                 values[t, j] = float(cell)
             except ValueError as exc:
                 raise UnparseableNumber(f"{path}: row {t} col {j}: {cell!r}") from exc
+    bad = np.argwhere(~np.isfinite(values))
+    if len(bad):
+        t, j = bad[0]
+        raise UnparseableNumber(f"{path}: row {t} col {j}: {rows[1 + t][j]!r} is not finite "
+                                "(a missing reading is a blank cell)")
     return values, blank
 
 

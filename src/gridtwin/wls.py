@@ -8,6 +8,14 @@ objective are halved up to ten times. Missing rows are simply deleted, which
 is exactly what makes the classical formulation fragile once masking removes
 observability.
 
+Every iteration and the rank probe first ask whether the normal matrix
+A = J'WJ is well conditioned: the verdict rejects cond(A) > COND_LIMIT. A
+Cholesky of A shifted down by 10 * ||A||_inf / COND_LIMIT that succeeds
+certifies cond(A) < COND_LIMIT / 10, so most verdicts take two Cholesky
+factorizations and no eigenvalues; the rest fall back to the eigenvalues of
+A. Every verdict and message equals the eigenvalue rule's
+(`_normal_cholesky`).
+
 Deletion works on row slices. A `MeasurementModel` evaluates h and J over
 every channel of a schema; the flat-start x, h and J are computed once per
 (schema, contents of Y) and kept on the schema, never per mask or snapshot.
@@ -36,7 +44,8 @@ class WlsProblem:
 
     `weights` are the diagonal of W = R^-1; by default 1/sigma^2 from the
     schema. `mask` (True = missing, one entry per channel) is optional;
-    estimate_wls solves on the rows it leaves.
+    estimate_wls solves on the rows it leaves, whose readings from_schema
+    requires to be finite.
     """
 
     schema: object
@@ -54,12 +63,15 @@ class WlsProblem:
             raise ValueError("weights must be strictly positive")
         if len(z) != len(schema) or len(weights) != len(schema):
             raise ValueError("measurement/weight length does not match schema")
+        z = np.asarray(z, dtype=float)
         if mask is not None:
             mask = np.asarray(mask, dtype=bool)
             if mask.shape != (len(schema),):
                 raise ValueError(f"mask shape {mask.shape} does not match the schema's "
                                  f"({len(schema)},)")
-        return cls(schema=schema, Y=Y, z=np.asarray(z, dtype=float), weights=weights, mask=mask)
+        if not np.all(np.isfinite(z if mask is None else z[~mask])):
+            raise ValueError("measurements on kept rows must be finite")
+        return cls(schema=schema, Y=Y, z=z, weights=weights, mask=mask)
 
     @property
     def n_states(self):
@@ -223,12 +235,30 @@ def _prepare(problem):
 
 
 def _normal_cholesky(J, w, iteration):
-    """Lower Cholesky factor of the normal matrix J'WJ, or a RankDeficient
-    verdict when the condition number, read from the eigenvalues of the
-    symmetric matrix, exceeds COND_LIMIT (a non-positive smallest eigenvalue
-    counts as over it) or when Cholesky fails.
+    """Lower Cholesky factor of the normal matrix A = J'WJ, or a RankDeficient
+    verdict when its condition number exceeds COND_LIMIT.
+
+    The verdict is the eigenvalue rule: A is rejected when its smallest
+    eigenvalue is not positive or max/min exceeds COND_LIMIT, and when
+    Cholesky then fails. Most matrices are decided without eigenvalues: if
+    both L = cholesky(A) and cholesky(A - s*I) succeed, with
+    s = 10 * ||A||_inf / COND_LIMIT, then lambda_min(A) > s >= 10 * lambda_max
+    / COND_LIMIT, so cond(A) < COND_LIMIT / 10, and the rule would accept A
+    and return this same L. A Cholesky that succeeds in floating point
+    factors a matrix within about n * eps * ||A|| of the one it was given
+    (5e-15 * ||A|| at n = 42), far below the shift of 1e-11 * ||A||_inf, so
+    the certificate holds after rounding. When either factorization fails,
+    the eigenvalue rule decides, so every verdict and message equals it.
     """
     A = (J.T * w) @ J
+    try:
+        L = np.linalg.cholesky(A)
+        shifted = A.copy()
+        shifted.flat[:: len(A) + 1] -= 10 * np.linalg.norm(A, np.inf) / COND_LIMIT
+        np.linalg.cholesky(shifted)
+        return L
+    except np.linalg.LinAlgError:
+        pass
     eig = np.linalg.eigvalsh(A)
     if not (eig[0] > 0 and eig[-1] / eig[0] <= COND_LIMIT):
         return RankDeficient(

@@ -222,6 +222,16 @@ class TestExitCodes:
         assert_input_error(run_cli("sweep", "--config", str(path)), "training split (4 of 40 steps")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["wls", "eval", "sweep"])
+    def test_training_split_without_evaluation_steps_is_exit_2(self, tmp_path, command):
+        cfg = dict(CONFIG, output_dir=str(tmp_path / "out"), train_fraction=0.99)
+        path = tmp_path / "no_eval.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        assert_input_error(run_cli(command, "--config", str(path)),
+                           "training split (40 of 40 steps at train_fraction 0.99) leaves no "
+                           "evaluation step")
+        assert not (tmp_path / "out").exists()
+
     def test_window_not_shorter_than_steps_is_exit_2(self, tmp_path):
         cfg = dict(CONFIG)
         cfg["output_dir"] = str(tmp_path / "out")

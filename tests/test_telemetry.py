@@ -304,15 +304,16 @@ class TestCsv:
         with pytest.raises(RaggedRows):
             import_csv(mp, sp, schema8)
 
-    def test_unparseable_number_rejected(self, tmp_path, dataset, schema8):
+    @pytest.mark.parametrize("cell", ["not-a-number", "nan", "inf", "-Infinity"])
+    def test_unparseable_number_rejected(self, tmp_path, dataset, schema8, cell):
         mp, sp = tmp_path / "m.csv", tmp_path / "s.csv"
         export_csv(dataset, mp, sp)
         text = mp.read_text().splitlines()
-        cells = text[1].split(",")
-        cells[0] = "not-a-number"
-        text[1] = ",".join(cells)
+        cells = text[3].split(",")
+        cells[5] = cell
+        text[3] = ",".join(cells)
         mp.write_text("\n".join(text) + "\n")
-        with pytest.raises(UnparseableNumber):
+        with pytest.raises(UnparseableNumber, match=f"row 2 col 5: '{cell}'"):
             import_csv(mp, sp, schema8)
 
     def _edit_states(self, tmp_path, dataset, edit):
@@ -341,7 +342,7 @@ class TestCsv:
         with pytest.raises(RaggedRows, match="row 1 has"):
             import_csv(mp, sp, schema8)
 
-    @pytest.mark.parametrize("cell", ["not-a-number", ""])
+    @pytest.mark.parametrize("cell", ["not-a-number", "", "nan", "-inf"])
     def test_states_unparseable_or_blank_number_rejected(self, tmp_path, dataset, schema8,
                                                          cell):
         def spoil(lines):

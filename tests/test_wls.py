@@ -18,6 +18,7 @@ from gridtwin.feeder import (
 )
 from gridtwin.telemetry import MeasurementSchema, default_schema, measure
 from gridtwin.wls import (
+    COND_LIMIT,
     MeasurementModel,
     WlsProblem,
     drop_missing,
@@ -29,6 +30,10 @@ from gridtwin.wls import (
 )
 
 from conftest import partial_phase_spec
+
+# The verdict's shift and its eigenvalue fallback must stay free of overflow,
+# division by zero and invalid values.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +109,23 @@ class TestEstimate:
                              mask=np.zeros(shape, dtype=bool))
         with pytest.raises(ValueError, match="mask shape"):
             solve(problem)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_reading_on_a_kept_row_is_refused(self, schema8, noiseless8, value):
+        y, z = noiseless8
+        z = z.copy()
+        z[3] = value
+        with pytest.raises(ValueError, match="finite"):
+            WlsProblem.from_schema(schema8, y, z)
+        mask = np.zeros(len(schema8), dtype=bool)
+        with pytest.raises(ValueError, match="finite"):
+            WlsProblem.from_schema(schema8, y, z, mask=mask)
+        # a masked row's reading is never read
+        mask[3] = True
+        finite = z.copy()
+        finite[3] = 0.0
+        assert estimate_wls(WlsProblem.from_schema(schema8, y, z, mask=mask)).x.tobytes() == \
+            estimate_wls(WlsProblem.from_schema(schema8, y, finite, mask=mask)).x.tobytes()
 
     def test_redundancy_ratio_counts_kept_rows(self, schema8, noiseless8):
         y, z = noiseless8
@@ -416,6 +438,73 @@ class TestRoundingFloor:
         with pytest.raises(NoConvergence, match="no descent step") as info:
             estimate_wls(stalling, tol=1e-9)
         assert info.value.iterations == est.iterations
+
+
+def _eigenvalue_rule(J, w, iteration):
+    """The rank verdict decided from the eigenvalues alone, as _normal_cholesky
+    decided it before the shifted Cholesky: the reference it must equal."""
+    A = (J.T * w) @ J
+    eig = np.linalg.eigvalsh(A)
+    if not (eig[0] > 0 and eig[-1] / eig[0] <= COND_LIMIT):
+        return RankDeficient(
+            f"normal matrix condition estimate exceeds {COND_LIMIT:g} at iteration {iteration}"
+        )
+    try:
+        return np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        return RankDeficient(f"Cholesky failed at iteration {iteration}")
+
+
+def _spectrum_case(n, kind):
+    """(J, w) with J'WJ = Q diag(w) Q' for a random orthogonal Q: w holds the
+    eigenvalues, log-spaced down to 1/cond, one negative when `kind` is
+    "indefinite"; "singular" zeroes a column of J, so a row and a column of
+    the normal matrix are exactly zero."""
+    rng = np.random.default_rng((n, 17))
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    J = np.array(Q.T, order="F")
+    if kind == "indefinite":
+        w = np.logspace(2, -4, n)
+        w[n // 2] = -w[n // 2]
+    elif kind == "singular":
+        w = np.logspace(2, -4, n)
+        J[:, n // 3] = 0.0
+    else:
+        w = 3e2 * np.logspace(0, -np.log10(kind), n)
+    return J, w
+
+
+class TestRankVerdict:
+    """_normal_cholesky decides every matrix as the eigenvalue rule does, and
+    certifies a well-conditioned one without computing eigenvalues."""
+
+    @pytest.mark.parametrize("n", [42, 422])
+    @pytest.mark.parametrize("kind", [1e9, 1e11, 9.9e11, 1e12, 1.01e12, 1e13, 1e16,
+                                      "indefinite", "singular"])
+    def test_verdict_and_factor_equal_the_eigenvalue_rule(self, n, kind):
+        J, w = _spectrum_case(n, kind)
+        got, want = wls._normal_cholesky(J, w, 3), _eigenvalue_rule(J, w, 3)
+        assert type(got) is type(want)
+        if isinstance(want, RankDeficient):
+            assert str(got) == str(want)
+        else:
+            assert got.tobytes() == want.tobytes()
+        if kind != 1e12:  # at the limit itself, rounding decides
+            assert isinstance(got, np.ndarray) == (kind in (1e9, 1e11, 9.9e11))
+
+    def test_well_conditioned_matrices_are_decided_without_eigenvalues(
+            self, monkeypatch, schema8, noiseless8):
+        def refuse(_):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        J, w = _spectrum_case(42, 1e9)
+        assert wls._normal_cholesky(J, w, 1).tobytes() == \
+            np.linalg.cholesky((J.T * w) @ J).tobytes()
+        y, z = noiseless8
+        problem = WlsProblem.from_schema(schema8, y, z)
+        assert feasibility_check(problem)
+        assert estimate_wls(problem).converged
 
 
 def test_import_leaves_scipy_out():
