@@ -59,7 +59,8 @@ dataset = build_dataset(feeder, profiles, schema, seed=23)
 config = ModelConfig.for_dataset(dataset, d=16, d_ff=32, blocks=1, heads=2, groups=1,
                                  window=6, lr=1e-3, epochs=10, seed=7, optimizer="adam")
 model, history = train(dataset, config)
-print(f"\ntraining ({config.epochs} epochs, {model.param_count()} parameters):")
+print(f"\ntraining ({config.epochs} epochs, {model.param_count()} parameters; "
+      "losses on z-scored targets):")
 shown = {rec["epoch"]: rec for rec in history[::3] + history[-1:]}
 for epoch in sorted(shown):
     rec = shown[epoch]

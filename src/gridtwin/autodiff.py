@@ -4,7 +4,8 @@ Everything is float64. A Tape records forward operations in order; backward
 walks the record in exact reverse, so gradients are deterministic for a
 deterministic op sequence. Parameters are long-lived named arrays injected
 into a fresh tape each step via Tape.watch; backward overwrites their .grad
-(a second backward on the same tape reproduces the first).
+(a second backward on the same tape reproduces the first), or adds to it
+when asked to accumulate, which sums the gradients of several tapes.
 
 Supported ops: matmul, add, sub, mul, scale, transpose, row_softmax,
 sigmoid, relu, concat_lastdim, slice_lastdim, mean_all, square, the branch
@@ -43,7 +44,7 @@ from .errors import (
 )
 
 CHECKPOINT_FORMAT = "gridtwin-params"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class Parameter:
@@ -115,8 +116,9 @@ class Tape:
         idx = self._watched[key]
         return Tensor(self, idx, self.values[idx])
 
-    def backward(self, loss):
-        """Populate .grad of every watched Parameter with d(loss)/d(param)."""
+    def backward(self, loss, accumulate=False):
+        """Populate .grad of every watched Parameter with d(loss)/d(param); with
+        `accumulate`, add it to a .grad already set instead."""
         if loss.tape is not self:
             raise ValueError("loss belongs to a different tape")
         if loss.value.ndim != 0:
@@ -129,8 +131,11 @@ class Tape:
                 continue
             op = self.ops[i]
             if op == "leaf":
-                if self.params[i] is not None:
-                    self.params[i].grad = np.array(g, dtype=float)
+                p = self.params[i]
+                if p is not None and accumulate and p.grad is not None:
+                    p.grad += g
+                elif p is not None:
+                    p.grad = np.array(g, dtype=float)
                 continue
             _BACKWARD[op](self, i, g, grads)
 
@@ -145,7 +150,7 @@ class InferenceTape(Tape):
     def watch(self, param):
         return Tensor(self, None, param.value)
 
-    def backward(self, loss):
+    def backward(self, loss, accumulate=False):
         raise RuntimeError("an InferenceTape records nothing to differentiate")
 
 
@@ -748,7 +753,8 @@ def load_params(path):
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a parameter checkpoint")
     if payload.get("format_version") != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version")
+        raise ValueError(f"{path}: checkpoint format_version {payload.get('format_version')!r} "
+                         f"is not {CHECKPOINT_VERSION}; retrain to write a current checkpoint")
     arrays = {
         entry["name"]: np.array(entry["values"], dtype=float).reshape(entry["shape"])
         for entry in payload["params"]

@@ -2,7 +2,8 @@
 
 Subcommands: gen, train, eval, wls, sweep, report. Every run takes a YAML
 config (see configs/), and the common knobs are overridable with flags.
-Exit codes: 0 success, 2 config error, 3 numeric failure, 4 I/O error.
+Exit codes: 0 success, 2 config or input-file error, 3 numeric failure,
+4 I/O error.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .errors import (
     RankDeficient,
     UnparseableNumber,
 )
-from .model import Estimator, train
+from .model import Estimator, input_layout, train
 from .telemetry import export_csv
 
 EXIT_OK = 0
@@ -127,13 +128,13 @@ def cmd_eval(args):
     if not Path(checkpoint).exists():
         raise ConfigError(f"checkpoint not found: {checkpoint}")
     model = Estimator.load(checkpoint)
-    # Checkpoints hold channel positions, not names: a reordering of channels
-    # of one kind passes this check.
-    want = model_config(config, dataset)
-    if any(getattr(model.config, k) != getattr(want, k)
-           for k in ("power_channels", "voltage_channels", "n_states")):
+    here = input_layout(dataset, model_config(config, dataset))
+    if model.layout != here:
+        trained = model.layout if isinstance(model.layout, dict) else {}
         raise ConfigError(f"checkpoint {checkpoint} was trained on another channel layout "
-                          "or state count than this dataset has")
+                          "than this dataset has: " + "; ".join(
+                              f"{k} {trained.get(k)} in the checkpoint, {here[k]} here"
+                              for k in here if trained.get(k) != here[k]))
 
     def point(alpha, seed):
         metrics, _, _ = evaluate_model(model, dataset, alpha, seed)
@@ -244,8 +245,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, HeaderMismatch, RaggedRows, UnparseableNumber) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (HeaderMismatch, RaggedRows, UnparseableNumber) as exc:
+        print(f"input error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NoConvergence, NonFiniteLoss, RankDeficient, NonFiniteValue) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

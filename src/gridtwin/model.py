@@ -13,10 +13,18 @@ the block then exchanges information through sigmoid cross-gates:
 Branch outputs are linearly projected, set side by side, and decoded by a
 two-layer head into per-step rectangular voltage states. The DT model has
 two branches, power channels and voltage channels; the concatenation
-ablation has one branch of all channels, so no gate. Training minimizes
-mean squared error over the whole window with fresh Bernoulli input masks
-drawn every epoch as augmentation, one optimizer step per window; the
-optimizer is plain SGD unless the config opts into Adam.
+ablation has one branch of all channels, so no gate.
+
+Training regresses per-state z-scored targets: each state less its mean,
+over its standard deviation, both from the training split. It minimizes mean
+squared error over the whole window with fresh Bernoulli input masks drawn
+every epoch as augmentation. Each window runs its own forward and backward
+pass; the gradients of GROUP consecutive windows are summed in time order
+and make one optimizer step (plain SGD unless the config opts into Adam).
+estimate_voltages undoes the scaling, so every estimate leaves the model in
+p.u.; an untrained model has mean 0 and std 1. A checkpoint holds the
+parameters, the target statistics, and the names of the input channels and
+states the model was trained on.
 
 Every set of branch weights after the input projections is one Parameter
 with a leading branch axis of k, drawn branch by branch in the order of a
@@ -41,6 +49,9 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ConfigError, NonFiniteLoss, NonFiniteValue, ShapeMismatch
 from .telemetry import draw_mask
+
+GROUP = 16  # training windows per optimizer step
+STD_FLOOR = 1e-12  # a state whose training std is not above this keeps scale 1
 
 
 @dataclass(frozen=True)
@@ -276,6 +287,9 @@ class Estimator:
         self.out = _stacked("out", *(_linear("", d, d, rng) for _ in widths))
         self.head1 = _linear("head1", len(widths) * d, d_ff, rng)
         self.head2 = _linear("head2", d_ff, config.n_states, rng)
+        self.target_mean = np.zeros(config.n_states)
+        self.target_std = np.ones(config.n_states)
+        self.layout = None  # input_layout of the training data, set by train_model
 
     def layers(self):
         return (*self.projs, *(p for block in self.blocks for p in block),
@@ -312,12 +326,20 @@ class Estimator:
     def param_count(self):
         return sum(p.value.size for p in self.parameters())
 
+    def scaled(self, targets):
+        """States in p.u., (..., n), as the z-scored targets the model regresses."""
+        return (targets - self.target_mean) / self.target_std
+
     def estimate_voltages(self, window):
-        """Forward pass over one window or a batch; returns (..., T, n) estimates."""
-        return self.forward_window(ad.InferenceTape(), window).value
+        """Forward pass over one window or a batch; returns (..., T, n) estimates
+        in p.u."""
+        out = self.forward_window(ad.InferenceTape(), window).value
+        return out * self.target_std + self.target_mean
 
     def save(self, path):
-        extra = {"model_kind": self.kind, "model_config": asdict(self.config)}
+        extra = {"model_kind": self.kind, "model_config": asdict(self.config),
+                 "target_mean": self.target_mean.tolist(),
+                 "target_std": self.target_std.tolist(), "layout": self.layout}
         ad.save_params(path, self.parameters(), extra=extra)
 
     @classmethod
@@ -344,6 +366,15 @@ class Estimator:
                                   f"missing or not of shape {p.value.shape}")
             p.value = value
             ad.check_finite(p, "in the checkpoint")
+        try:
+            mean, std = (np.array(extra[k], dtype=float) for k in ("target_mean", "target_std"))
+            if not (mean.shape == std.shape == (config.n_states,)
+                    and np.isfinite([mean, std]).all() and (std > 0).all()):
+                raise ValueError("target statistics are not finite or not of "
+                                 f"{config.n_states} states")
+            model.target_mean, model.target_std, model.layout = mean, std, extra["layout"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: unusable checkpoint: {exc}") from None
         return model
 
 
@@ -374,6 +405,22 @@ class ConcatBaselineModel(Estimator):
     save = Estimator.save
 
 
+def input_layout(dataset, config):
+    """Names of the channels each branch reads, in order, and of the states."""
+    names = dataset.schema.names
+    return {"power_channels": [names[i] for i in config.power_channels],
+            "voltage_channels": [names[i] for i in config.voltage_channels],
+            "states": list(dataset.state_labels)}
+
+
+def target_stats(dataset):
+    """Per-state mean and std of the training split's states; a std not above
+    STD_FLOOR becomes 1, as in the measurement normalization."""
+    train = dataset.x[:dataset.split_index]
+    std = train.std(axis=0)
+    return train.mean(axis=0), np.where(std > STD_FLOOR, std, 1.0)
+
+
 def build_windows(dataset, t_ends, masks, config):
     """Batch of the windows ending at each of t_ends, from normalized rows with
     `masks` (n_steps, m) and the dataset's own gaps zeroed; (B, T, .) arrays."""
@@ -396,14 +443,22 @@ def _window_ends(dataset, config):
 
 
 def _epoch_pass(model, dataset, ends, masks, config, optimizer):
+    """Mean training loss over the windows ending at `ends`. Each window runs
+    its own tape; the gradients of each GROUP consecutive windows are summed
+    in window order and make one optimizer step, the last group of the epoch
+    taking the remainder."""
     losses = []
     batch = build_windows(dataset, ends, masks, config)
-    for window in map(Window, batch.z_power, batch.z_volt, batch.targets):
-        tape = ad.Tape()
-        loss = mse_loss(model.forward_window(tape, window), window.targets)
-        tape.backward(loss)
+    for start in range(0, len(ends), GROUP):
+        group = slice(start, start + GROUP)
+        windows = map(Window, batch.z_power[group], batch.z_volt[group],
+                      model.scaled(batch.targets[group]))
+        for k, window in enumerate(windows):
+            tape = ad.Tape()
+            loss = mse_loss(model.forward_window(tape, window), window.targets)
+            tape.backward(loss, accumulate=k > 0)
+            losses.append(float(loss.value))
         optimizer()
-        losses.append(float(loss.value))
     return float(np.mean(losses)) if losses else float("nan")
 
 
@@ -419,14 +474,18 @@ def batch_loss(model, batch):
 
 
 def train_model(model, dataset, config):
-    """Shared SGD loop; returns per-epoch (train_loss, val_loss) history.
+    """Shared training loop; returns per-epoch (train_loss, val_loss) history,
+    both on z-scored targets.
 
+    The model first takes the dataset's input layout and target statistics.
     Fresh masks are drawn each epoch for the training region (augmentation);
     the validation mask is drawn once from the model seed and reused so the
     validation series is comparable across epochs.
     """
     if dataset.n_steps <= config.window:
         raise ValueError("dataset must be longer than the window")
+    model.layout = input_layout(dataset, config)
+    model.target_mean, model.target_std = target_stats(dataset)
     train_ends, val_ends = _window_ends(dataset, config)
     if config.optimizer == "adam":
         adam = ad.AdamState(model.parameters())
@@ -436,6 +495,7 @@ def train_model(model, dataset, config):
     val_rng = np.random.default_rng((config.seed, 2))
     val_masks = draw_mask(dataset.schema, val_rng, steps=dataset.n_steps)
     val_batch = build_windows(dataset, val_ends, val_masks, config)
+    val_batch = Window(val_batch.z_power, val_batch.z_volt, model.scaled(val_batch.targets))
     history = []
     for epoch in range(1, config.epochs + 1):
         epoch_rng = np.random.default_rng((config.seed, 1, epoch))

@@ -17,7 +17,14 @@ import yaml
 
 from gridtwin import autodiff as ad
 from gridtwin import model as M
-from gridtwin.bench import ExperimentConfig, read_metrics_csv, write_summary_csv
+from gridtwin.bench import (
+    ExperimentConfig,
+    eval_steps,
+    generate_dataset,
+    model_config,
+    read_metrics_csv,
+    write_summary_csv,
+)
 from gridtwin.feeder import (
     LoadScenario,
     admittance_matrix,
@@ -27,6 +34,7 @@ from gridtwin.feeder import (
     solve_power_flow,
     voltages_to_state,
 )
+from gridtwin.metrics import compute_metrics
 from gridtwin.telemetry import (
     Channel,
     MeasurementSchema,
@@ -347,7 +355,18 @@ def test_criterion_7_desk_experiment(sweep_artifacts):
 
     # (c) runtime budget
     assert elapsed < 1800.0
-    announce(7, f"dt mae_mag {mag0:.5f}->{mag4:.5f}, mae_ang {ang0:.5f}->{ang4:.5f}; "
+
+    # (d) at every alpha the model beats the constant predictor of the
+    # training split's mean state, on the same evaluation steps
+    _, _, dataset = generate_dataset(config)
+    steps = eval_steps(dataset, model_config(config, dataset).window)
+    train_mean = dataset.x[:dataset.split_index].mean(axis=0)
+    constant = compute_metrics(np.tile(train_mean, (len(steps), 1)),
+                               dataset.x[steps])["mae_mag"]
+    worst = max(mean_of("dt", "mae_mag", alpha) for alpha in config.alphas)
+    assert worst < constant
+    announce(7, f"dt mae_mag {mag0:.5f}->{mag4:.5f} (constant predictor {constant:.5f}), "
+                f"mae_ang {ang0:.5f}->{ang4:.5f}; "
                 f"wls rank-deficient {np.mean(frac0):.2f}->{np.mean(frac4):.2f}; "
                 f"sweep {elapsed:.0f}s")
 

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import subprocess
 import sys
 
@@ -282,7 +283,7 @@ class TestBadInputFiles:
     @pytest.mark.parametrize("text, message", [
         ('{"format": "something-else"}', "not a parameter checkpoint"),
         ("not json at all", "unusable checkpoint"),
-        ('{"format": "gridtwin-params", "format_version": 1, "params": [],'
+        ('{"format": "gridtwin-params", "format_version": 2, "params": [],'
          ' "extra": {"model_kind": "transformer"}}', "transformer"),
     ], ids=["json-not-checkpoint", "not-json", "unknown-model-kind"])
     def test_unusable_checkpoint(self, config_path, tmp_path, text, message):
@@ -358,6 +359,47 @@ class TestBadInputFiles:
         result = run_cli("eval", "--config", str(other),
                          "--checkpoint", str(tmp_path / "out" / "checkpoint.json"))
         assert_input_error(result, "channel layout")
+
+    def test_eval_with_permuted_angle_channels(self, config_path, tmp_path):
+        # the same channels, so the same positions and counts, in another order
+        assert run_cli("train", "--config", str(config_path)).returncode == 0
+        schema = dict(CONFIG["schema"], vang_nodes=["b8:a", "b5:a", "b5:b", "b5:c"])
+        other = tmp_path / "permuted.yaml"
+        other.write_text(yaml.safe_dump(dict(CONFIG, schema=schema,
+                                             output_dir=str(tmp_path / "permuted"))))
+        result = run_cli("eval", "--config", str(other),
+                         "--checkpoint", str(tmp_path / "out" / "checkpoint.json"))
+        assert_input_error(result, "channel layout")
+        angles = ["'V_angle:b5:a'", "'V_angle:b5:b'", "'V_angle:b5:c'", "'V_angle:b8:a'"]
+        assert ", ".join(angles) + "] in the checkpoint" in result.stderr
+        assert ", ".join(angles[3:] + angles[:3]) + "] here" in result.stderr
+        assert "power_channels" not in result.stderr and "states" not in result.stderr
+        assert not (tmp_path / "permuted" / "metrics.csv").exists()
+
+    def test_eval_of_a_version_1_checkpoint(self, config_path, tmp_path):
+        assert run_cli("train", "--config", str(config_path)).returncode == 0
+        checkpoint = tmp_path / "out" / "checkpoint.json"
+        payload = json.loads(checkpoint.read_text())
+        payload["format_version"] = 1
+        for key in ("target_mean", "target_std", "layout"):
+            del payload["extra"][key]
+        checkpoint.write_text(json.dumps(payload))
+        result = run_cli("eval", "--config", str(config_path), "--checkpoint", str(checkpoint))
+        assert_input_error(result, "checkpoint format_version 1 is not 2")
+        assert result.stderr.startswith("config error: ")
+
+    def test_imported_csv_with_a_nan_cell_is_an_input_error(self, config_path, tmp_path):
+        assert run_cli("gen", "--config", str(config_path)).returncode == 0
+        out = tmp_path / "out"
+        lines = (out / "measurements.csv").read_text().splitlines()
+        cells = lines[10].split(",")
+        lines[10] = ",".join(cells[:1] + ["nan"] + cells[2:])
+        bad = tmp_path / "nan.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        result = run_cli("wls", "--config", str(config_path), "--out", str(tmp_path / "wls"),
+                         "--measurements", str(bad), "--states", str(out / "states.csv"))
+        assert_input_error(result, "'nan' is not finite")
+        assert result.stderr.startswith("input error: ")
 
     @pytest.mark.parametrize("command", ["gen", "sweep"])
     def test_schema_naming_what_the_feeder_lacks(self, tmp_path, command):

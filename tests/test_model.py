@@ -557,9 +557,9 @@ class TestCheckpointLoad:
     @pytest.mark.parametrize("text, match", [
         ("not json", "unusable checkpoint"),
         ("[1, 2]", "not a parameter checkpoint"),
-        ('{"format": "gridtwin-params", "format_version": 1, "params": [],'
+        ('{"format": "gridtwin-params", "format_version": 2, "params": [],'
          ' "extra": {"model_kind": "transformer"}}', "transformer"),
-        ('{"format": "gridtwin-params", "format_version": 1, "params": [],'
+        ('{"format": "gridtwin-params", "format_version": 2, "params": [],'
          ' "extra": {"model_kind": "dt"}}', "model_config"),
     ], ids=["not-json", "not-a-checkpoint", "unknown-kind", "no-config"])
     def test_unusable_file_is_config_error(self, tmp_path, text, match):
@@ -722,3 +722,147 @@ class TestTrain:
         est = M.predict_series(model, small_dataset, steps, masks)
         assert est.shape == (len(steps), small_dataset.n_states)
         assert np.all(np.isfinite(est))
+
+
+def train_ends_and_masks(dataset, config, seed):
+    ends = list(range(config.window - 1, dataset.n_steps))
+    masks = np.random.default_rng(seed).random((dataset.n_steps, dataset.n_channels)) < 0.3
+    return ends, masks
+
+
+class TestGroupedSteps:
+    def test_group_gradient_is_the_window_order_sum_bit_for_bit(self, small_dataset):
+        cfg = dataset_config(small_dataset)
+        model = M.DtModel(cfg)
+        model.target_mean, model.target_std = M.target_stats(small_dataset)
+        ends, masks = train_ends_and_masks(small_dataset, cfg, 33)
+        assert len(ends) > M.GROUP == 16
+        given = []
+
+        def optimizer():  # records the gradients and leaves the parameters alone
+            given.append([p.grad for p in model.parameters()])
+            for p in model.parameters():
+                p.grad = None
+
+        M._epoch_pass(model, small_dataset, ends, masks, cfg, optimizer)
+        batch = M.build_windows(small_dataset, ends[:M.GROUP], masks, cfg)
+        summed = None
+        for window in map(M.Window, batch.z_power, batch.z_volt, model.scaled(batch.targets)):
+            tape = ad.Tape()
+            tape.backward(M.mse_loss(model.forward_window(tape, window), window.targets))
+            grads = [p.grad for p in model.parameters()]
+            summed = grads if summed is None else [s + g for s, g in zip(summed, grads)]
+        assert len(given[0]) == len(summed)
+        assert all(np.array_equal(g, s) for g, s in zip(given[0], summed))
+        assert not np.array_equal(summed[-1], grads[-1])
+
+    @pytest.mark.parametrize("n", [1, 16, 21, 42])
+    def test_one_step_per_group_the_last_taking_the_remainder(self, small_dataset, n):
+        cfg = dataset_config(small_dataset)
+        model = M.DtModel(cfg)
+        ends, masks = train_ends_and_masks(small_dataset, cfg, 34)
+        ends = (ends * 2)[:n]
+        forward, windows, groups = model.forward_window, [], []
+
+        def counting_forward(tape, window):
+            windows.append(window)
+            return forward(tape, window)
+
+        def optimizer():
+            groups.append(len(windows))
+            windows.clear()
+            ad.sgd_step(model.parameters(), cfg.lr)
+
+        model.forward_window = counting_forward
+        M._epoch_pass(model, small_dataset, ends, masks, cfg, optimizer)
+        assert len(groups) == math.ceil(n / 16)
+        assert groups == [16] * (n // 16) + ([n % 16] if n % 16 else [])
+        assert windows == []
+
+
+class TestTargetScaling:
+    @pytest.mark.parametrize("kind", [M.DtModel, M.ConcatBaselineModel])
+    def test_estimates_are_the_scaled_outputs_undone(self, small_dataset, kind):
+        cfg = dataset_config(small_dataset)
+        model = kind(cfg)
+        model.target_mean, model.target_std = M.target_stats(small_dataset)
+        ends, masks = train_ends_and_masks(small_dataset, cfg, 35)
+        batch = M.build_windows(small_dataset, ends, masks, cfg)
+        out = model.forward_window(ad.InferenceTape(), batch).value
+        expected = out * model.target_std + model.target_mean
+        assert np.array_equal(model.estimate_voltages(batch), expected)
+        assert np.array_equal(M.predict_series(model, small_dataset, ends, masks),
+                              expected[:, -1])
+        assert not np.array_equal(expected, out)
+
+    def test_untrained_model_has_identity_statistics(self):
+        model = M.DtModel(tiny_config())
+        assert np.array_equal(model.target_mean, np.zeros(4))
+        assert np.array_equal(model.target_std, np.ones(4))
+        assert model.layout is None
+
+    def test_training_takes_the_training_splits_statistics_and_names(self, small_dataset):
+        cfg = dataset_config(small_dataset, epochs=1)
+        model, _ = M.train(small_dataset, cfg)
+        train = small_dataset.x[:small_dataset.split_index]
+        assert np.array_equal(model.target_mean, train.mean(axis=0))
+        assert np.array_equal(model.target_std, train.std(axis=0))
+        names = small_dataset.schema.names
+        assert model.layout == {
+            "power_channels": [names[i] for i in cfg.power_channels],
+            "voltage_channels": [names[i] for i in cfg.voltage_channels],
+            "states": list(small_dataset.state_labels),
+        }
+
+    def test_a_constant_state_keeps_scale_one(self, small_dataset):
+        x = small_dataset.x.copy()
+        x[:, 0] = 0.25
+        x[:, 1] = 0.5 + 1e-13 * np.arange(len(x))
+        mean, std = M.target_stats(dataclasses.replace(small_dataset, x=x))
+        assert mean[0] == 0.25 and std[0] == 1.0 and std[1] == 1.0
+        assert np.all(std[2:] < 1.0)
+
+    def test_checkpoint_keeps_statistics_and_layout(self, small_dataset, tmp_path):
+        model, _ = M.train(small_dataset, dataset_config(small_dataset, epochs=1))
+        path = tmp_path / "model.json"
+        model.save(path)
+        clone = M.DtModel.load(path)
+        assert np.array_equal(clone.target_mean, model.target_mean)
+        assert np.array_equal(clone.target_std, model.target_std)
+        assert clone.layout == model.layout
+
+    def test_version_1_checkpoint_is_refused(self, tmp_path):
+        path = tmp_path / "model.json"
+        M.DtModel(tiny_config()).save(path)
+        payload = json.loads(path.read_text())
+        assert payload["format_version"] == ad.CHECKPOINT_VERSION == 2
+        payload["format_version"] = 1
+        for key in ("target_mean", "target_std", "layout"):
+            del payload["extra"][key]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError, match="format_version 1 is not 2"):
+            M.Estimator.load(path)
+
+    @pytest.mark.parametrize("key, value, match", [
+        ("target_mean", [0.0, 0.0, 0.0], "4 states"),
+        ("target_std", [1.0, 0.0, 1.0, 1.0], "4 states"),
+        ("target_std", [1.0, float("nan"), 1.0, 1.0], "not finite"),
+        ("target_mean", "zero", "could not convert"),
+    ], ids=["short-mean", "zero-std", "nan-std", "not-numbers"])
+    def test_bad_statistics_are_config_errors(self, tmp_path, key, value, match):
+        path = tmp_path / "model.json"
+        M.DtModel(tiny_config()).save(path)
+        payload = json.loads(path.read_text())
+        payload["extra"][key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError, match=match):
+            M.DtModel.load(path)
+
+    def test_checkpoint_without_layout_is_config_error(self, tmp_path):
+        path = tmp_path / "model.json"
+        M.DtModel(tiny_config()).save(path)
+        payload = json.loads(path.read_text())
+        del payload["extra"]["layout"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError, match="'layout'"):
+            M.DtModel.load(path)
