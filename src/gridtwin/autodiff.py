@@ -747,13 +747,15 @@ def save_params(path, params, extra=None):
 
 
 def load_params(path):
-    """Read a checkpoint; returns ({name: array}, extra)."""
+    """Read a checkpoint; returns ({name: array}, extra). A file that is no
+    checkpoint of this version raises ValueError, whose message leaves the
+    path to the caller."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"{path}: not a parameter checkpoint")
+        raise ValueError("not a parameter checkpoint")
     if payload.get("format_version") != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: checkpoint format_version {payload.get('format_version')!r} "
+        raise ValueError(f"checkpoint format_version {payload.get('format_version')!r} "
                          f"is not {CHECKPOINT_VERSION}; retrain to write a current checkpoint")
     arrays = {
         entry["name"]: np.array(entry["values"], dtype=float).reshape(entry["shape"])

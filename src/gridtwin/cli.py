@@ -123,8 +123,9 @@ def cmd_train(args):
 def cmd_eval(args):
     config = _load_config(args)
     _, _, dataset = load_dataset_for(config, args.measurements, args.states)
-    out = _out_dir(config)
-    checkpoint = args.checkpoint or (out / "checkpoint.json")
+    # The checkpoint is loaded and checked before anything is written, so an
+    # unusable one leaves no output directory behind.
+    checkpoint = args.checkpoint or (Path(config.output_dir) / "checkpoint.json")
     if not Path(checkpoint).exists():
         raise ConfigError(f"checkpoint not found: {checkpoint}")
     model = Estimator.load(checkpoint)
@@ -135,6 +136,7 @@ def cmd_eval(args):
                           "than this dataset has: " + "; ".join(
                               f"{k} {trained.get(k)} in the checkpoint, {here[k]} here"
                               for k in here if trained.get(k) != here[k]))
+    out = _out_dir(config)
 
     def point(alpha, seed):
         metrics, _, _ = evaluate_model(model, dataset, alpha, seed)

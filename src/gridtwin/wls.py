@@ -1,20 +1,21 @@
 """Classical weighted-least-squares state estimation.
 
 Gauss-Newton on r(x) = z - h(x) with the normal equations (J'WJ) d = J'W r,
-W = diag(1/sigma^2), solved by Cholesky. The Jacobian is the closed-form
-derivative of h in rectangular coordinates (`jacobian`; `jacobian_fd` keeps
-central differences as a reference); steps that increase the weighted
-objective are halved up to ten times. Missing rows are simply deleted, which
+W = diag(1/sigma^2), one `np.linalg.solve` per step. The Jacobian is the
+closed-form derivative of h in rectangular coordinates (`jacobian`;
+`jacobian_fd` keeps central differences as a reference); steps that increase
+the weighted objective are halved up to ten times. Missing rows are simply deleted, which
 is exactly what makes the classical formulation fragile once masking removes
 observability.
 
 Every iteration and the rank probe first ask whether the normal matrix
 A = J'WJ is well conditioned: the verdict rejects cond(A) > COND_LIMIT. A
 Cholesky of A shifted down by 10 * ||A||_inf / COND_LIMIT that succeeds
-certifies cond(A) < COND_LIMIT / 10, so most verdicts take two Cholesky
-factorizations and no eigenvalues; the rest fall back to the eigenvalues of
+certifies cond(A) < COND_LIMIT / 10, so most verdicts take that one Cholesky
+factorization and no eigenvalues; the rest fall back to the eigenvalues of
 A. Every verdict and message equals the eigenvalue rule's
-(`_normal_cholesky`).
+(`_normal_matrix`). An accepted iteration thus factors twice: the shifted
+Cholesky, then the LU of the solve.
 
 Deletion works on row slices. A `MeasurementModel` evaluates h and J over
 every channel of a schema; the flat-start x, h and J are computed once per
@@ -234,29 +235,29 @@ def _prepare(problem):
     return keep
 
 
-def _normal_cholesky(J, w, iteration):
-    """Lower Cholesky factor of the normal matrix A = J'WJ, or a RankDeficient
-    verdict when its condition number exceeds COND_LIMIT.
+def _normal_matrix(J, w, iteration):
+    """The normal matrix A = J'WJ, or a RankDeficient verdict when its
+    condition number exceeds COND_LIMIT.
 
     The verdict is the eigenvalue rule: A is rejected when its smallest
     eigenvalue is not positive or max/min exceeds COND_LIMIT, and when
-    Cholesky then fails. Most matrices are decided without eigenvalues: if
-    both L = cholesky(A) and cholesky(A - s*I) succeed, with
-    s = 10 * ||A||_inf / COND_LIMIT, then lambda_min(A) > s >= 10 * lambda_max
-    / COND_LIMIT, so cond(A) < COND_LIMIT / 10, and the rule would accept A
-    and return this same L. A Cholesky that succeeds in floating point
-    factors a matrix within about n * eps * ||A|| of the one it was given
-    (5e-15 * ||A|| at n = 42), far below the shift of 1e-11 * ||A||_inf, so
-    the certificate holds after rounding. When either factorization fails,
-    the eigenvalue rule decides, so every verdict and message equals it.
+    Cholesky then fails. Most matrices are decided by one Cholesky and no
+    eigenvalues: if cholesky(A - s*I) succeeds, with s = 10 * ||A||_inf /
+    COND_LIMIT, then lambda_min(A) > s >= 10 * lambda_max / COND_LIMIT, so A
+    is positive definite with cond(A) < COND_LIMIT / 10 and the rule would
+    accept it. A Cholesky that succeeds in floating point factors a matrix
+    within about n * eps * ||A|| of the one it was given (5e-14 * ||A|| at
+    n = 422), far below the shift of 1e-11 * ||A||_inf, so the certificate
+    holds after rounding. When that factorization fails, the eigenvalue rule
+    decides, so every verdict and message equals it.
     """
     A = (J.T * w) @ J
+    shifted = A.copy()
+    # ||A||_inf, as np.linalg.norm(A, np.inf) computes it.
+    shifted.flat[:: len(A) + 1] -= 10 * np.abs(A).sum(axis=1).max() / COND_LIMIT
     try:
-        L = np.linalg.cholesky(A)
-        shifted = A.copy()
-        shifted.flat[:: len(A) + 1] -= 10 * np.linalg.norm(A, np.inf) / COND_LIMIT
         np.linalg.cholesky(shifted)
-        return L
+        return A
     except np.linalg.LinAlgError:
         pass
     eig = np.linalg.eigvalsh(A)
@@ -265,9 +266,10 @@ def _normal_cholesky(J, w, iteration):
             f"normal matrix condition estimate exceeds {COND_LIMIT:g} at iteration {iteration}"
         )
     try:
-        return np.linalg.cholesky(A)
+        np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
         return RankDeficient(f"Cholesky failed at iteration {iteration}")
+    return A
 
 
 def estimate_wls(problem, x0=None, tol=1e-8, max_iter=40):
@@ -275,8 +277,9 @@ def estimate_wls(problem, x0=None, tol=1e-8, max_iter=40):
 
     Stops when the infinity-norm of the update falls below tol, or when no
     halving of an update within 10*tol lowers the objective: the objective
-    has reached its rounding floor there. Raises RankDeficient when the
-    normal matrix fails Cholesky or its condition number exceeds 1e12 (the
+    has reached its rounding floor there. Each step is one solve with the
+    normal matrix that passed the rank verdict. Raises RankDeficient when
+    that matrix fails Cholesky or its condition number exceeds 1e12 (the
     masked-out unobservable case), NoConvergence when damping cannot find a
     descent step or iterations run out.
     """
@@ -317,10 +320,10 @@ def _gauss_newton(problem, x0, tol, max_iter):
         r, f = residual(x)
     for iteration in range(1, max_iter + 1):
         J = _rows(model.J_flat if x is model.x_flat else model.jacobian(x), keep)
-        L = _normal_cholesky(J, w, iteration)
-        if isinstance(L, RankDeficient):
-            return L
-        delta = np.linalg.solve(L.T, np.linalg.solve(L, J.T @ (w * r)))
+        A = _normal_matrix(J, w, iteration)
+        if isinstance(A, RankDeficient):
+            return A
+        delta = np.linalg.solve(A, J.T @ (w * r))
         step = np.max(np.abs(delta))
         if step <= tol:
             x = x + delta
@@ -352,12 +355,13 @@ def feasibility_check(problem):
     """Cheap observability probe at the flat start (no iterations).
 
     Applies the same detection rule as the first iteration of estimate_wls
-    (row count, condition limit, Cholesky) to the flat-start Jacobian.
+    (row count, then `_normal_matrix`: condition limit, Cholesky) to the
+    flat-start Jacobian, and solves nothing.
     Returns True when a Gauss-Newton step is well-posed.
     """
     keep = _prepare(problem)
     if isinstance(keep, RankDeficient):
         return False
     J = MeasurementModel.of(problem.schema, problem.Y).J_flat
-    L = _normal_cholesky(_rows(J, keep), problem.weights[keep], iteration=1)
-    return not isinstance(L, RankDeficient)
+    A = _normal_matrix(_rows(J, keep), problem.weights[keep], iteration=1)
+    return not isinstance(A, RankDeficient)

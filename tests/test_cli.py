@@ -85,10 +85,11 @@ class TestTrainEval:
         assert {r["method"] for r in rows} == {"dt"}
         assert {r["alpha"] for r in rows} == {0.0, 0.4}
 
-    def test_eval_without_checkpoint(self, config_path):
+    def test_eval_without_checkpoint(self, config_path, tmp_path):
         result = run_cli("eval", "--config", str(config_path))
         assert result.returncode == 2
         assert "checkpoint" in result.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_train_from_imported_csvs(self, config_path, tmp_path):
         assert run_cli("gen", "--config", str(config_path)).returncode == 0
@@ -374,7 +375,7 @@ class TestBadInputFiles:
         assert ", ".join(angles) + "] in the checkpoint" in result.stderr
         assert ", ".join(angles[3:] + angles[:3]) + "] here" in result.stderr
         assert "power_channels" not in result.stderr and "states" not in result.stderr
-        assert not (tmp_path / "permuted" / "metrics.csv").exists()
+        assert not (tmp_path / "permuted").exists()
 
     def test_eval_of_a_version_1_checkpoint(self, config_path, tmp_path):
         assert run_cli("train", "--config", str(config_path)).returncode == 0
@@ -384,9 +385,13 @@ class TestBadInputFiles:
         for key in ("target_mean", "target_std", "layout"):
             del payload["extra"][key]
         checkpoint.write_text(json.dumps(payload))
-        result = run_cli("eval", "--config", str(config_path), "--checkpoint", str(checkpoint))
+        out = tmp_path / "v1_out"
+        result = run_cli("eval", "--config", str(config_path), "--checkpoint", str(checkpoint),
+                         "--out", str(out))
         assert_input_error(result, "checkpoint format_version 1 is not 2")
-        assert result.stderr.startswith("config error: ")
+        assert result.stderr.startswith(f"config error: {checkpoint}: unusable checkpoint: ")
+        assert result.stderr.count(str(checkpoint)) == 1
+        assert not out.exists()
 
     def test_imported_csv_with_a_nan_cell_is_an_input_error(self, config_path, tmp_path):
         assert run_cli("gen", "--config", str(config_path)).returncode == 0

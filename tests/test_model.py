@@ -840,8 +840,9 @@ class TestTargetScaling:
         for key in ("target_mean", "target_std", "layout"):
             del payload["extra"][key]
         path.write_text(json.dumps(payload))
-        with pytest.raises(ConfigError, match="format_version 1 is not 2"):
+        with pytest.raises(ConfigError, match="format_version 1 is not 2") as info:
             M.Estimator.load(path)
+        assert str(info.value).count(str(path)) == 1
 
     @pytest.mark.parametrize("key, value, match", [
         ("target_mean", [0.0, 0.0, 0.0], "4 states"),

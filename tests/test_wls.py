@@ -1,10 +1,13 @@
+import collections
 import gc
 import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from gridtwin import bench, wls
 from gridtwin.errors import NoConvergence, RankDeficient
@@ -30,6 +33,8 @@ from gridtwin.wls import (
 )
 
 from conftest import partial_phase_spec
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # The verdict's shift and its eigenvalue fallback must stay free of overflow,
 # division by zero and invalid values.
@@ -441,8 +446,8 @@ class TestRoundingFloor:
 
 
 def _eigenvalue_rule(J, w, iteration):
-    """The rank verdict decided from the eigenvalues alone, as _normal_cholesky
-    decided it before the shifted Cholesky: the reference it must equal."""
+    """The rank verdict decided from the eigenvalues alone: the reference
+    _normal_matrix must equal. Returns A = J'WJ when it accepts."""
     A = (J.T * w) @ J
     eig = np.linalg.eigvalsh(A)
     if not (eig[0] > 0 and eig[-1] / eig[0] <= COND_LIMIT):
@@ -450,9 +455,31 @@ def _eigenvalue_rule(J, w, iteration):
             f"normal matrix condition estimate exceeds {COND_LIMIT:g} at iteration {iteration}"
         )
     try:
-        return np.linalg.cholesky(A)
+        np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
         return RankDeficient(f"Cholesky failed at iteration {iteration}")
+    return A
+
+
+def _two_cholesky_rule(J, w, iteration):
+    """The verdict as it was decided before one shifted Cholesky sufficed:
+    accepted when cholesky(A) and cholesky(A - s*I) both succeed, with
+    s = 10 * ||A||_inf / COND_LIMIT, else by the eigenvalue rule."""
+    A = (J.T * w) @ J
+    try:
+        np.linalg.cholesky(A)
+        np.linalg.cholesky(A - 10 * np.linalg.norm(A, np.inf) / COND_LIMIT * np.eye(len(A)))
+        return A
+    except np.linalg.LinAlgError:
+        return _eigenvalue_rule(J, w, iteration)
+
+
+def _assert_same_verdict(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, RankDeficient):
+        assert str(got) == str(want)
+    else:
+        assert got.tobytes() == want.tobytes()
 
 
 def _spectrum_case(n, kind):
@@ -474,37 +501,98 @@ def _spectrum_case(n, kind):
     return J, w
 
 
+@pytest.fixture(scope="module")
+def protocol_problems():
+    """The 2,500 masked snapshots of the benchmark protocol's evaluation grid:
+    alphas 0-0.4 x evaluation seeds 0-4 x its 100 evaluation steps."""
+    config = bench.ExperimentConfig.from_yaml(ROOT / "perfbench" / "protocol.yaml")
+    feeder, _, dataset = bench.generate_dataset(config)
+    y = admittance_matrix(feeder)
+    steps = bench.eval_steps(dataset, bench.model_config(config, dataset).window)
+    problems = []
+    for alpha in (0.0, 0.1, 0.2, 0.3, 0.4):
+        for seed in range(5):
+            masks = bench.eval_mask(dataset, alpha, seed)
+            problems += [WlsProblem.from_schema(dataset.schema, y, dataset.z[t], mask=masks[t])
+                         for t in steps]
+    return problems
+
+
 class TestRankVerdict:
-    """_normal_cholesky decides every matrix as the eigenvalue rule does, and
-    certifies a well-conditioned one without computing eigenvalues."""
+    """_normal_matrix decides every matrix as the eigenvalue rule does, and
+    certifies a well-conditioned one with one Cholesky and no eigenvalues."""
 
     @pytest.mark.parametrize("n", [42, 422])
     @pytest.mark.parametrize("kind", [1e9, 1e11, 9.9e11, 1e12, 1.01e12, 1e13, 1e16,
                                       "indefinite", "singular"])
-    def test_verdict_and_factor_equal_the_eigenvalue_rule(self, n, kind):
+    def test_verdict_and_matrix_equal_the_eigenvalue_rule(self, n, kind):
         J, w = _spectrum_case(n, kind)
-        got, want = wls._normal_cholesky(J, w, 3), _eigenvalue_rule(J, w, 3)
-        assert type(got) is type(want)
-        if isinstance(want, RankDeficient):
-            assert str(got) == str(want)
-        else:
-            assert got.tobytes() == want.tobytes()
+        got = wls._normal_matrix(J, w, 3)
+        _assert_same_verdict(got, _eigenvalue_rule(J, w, 3))
+        if isinstance(got, np.ndarray):
+            assert got.tobytes() == ((J.T * w) @ J).tobytes()
         if kind != 1e12:  # at the limit itself, rounding decides
             assert isinstance(got, np.ndarray) == (kind in (1e9, 1e11, 9.9e11))
 
-    def test_well_conditioned_matrices_are_decided_without_eigenvalues(
-            self, monkeypatch, schema8, noiseless8):
-        def refuse(_):
-            raise AssertionError("eigvalsh called")
+    def test_protocol_verdicts_equal_the_two_cholesky_rule(self, protocol_problems):
+        # Every flat-start verdict of the protocol grid, as the probe and the
+        # first Gauss-Newton iteration take it.
+        decided = {"too few rows": 0, "accepted": 0, "rejected": 0}
+        for problem in protocol_problems:
+            keep = wls._prepare(problem)
+            if isinstance(keep, RankDeficient):
+                decided["too few rows"] += 1
+                continue
+            model = MeasurementModel.of(problem.schema, problem.Y)
+            J, w = wls._rows(model.J_flat, keep), problem.weights[keep]
+            got = wls._normal_matrix(J, w, 1)
+            _assert_same_verdict(got, _two_cholesky_rule(J, w, 1))
+            decided["accepted" if isinstance(got, np.ndarray) else "rejected"] += 1
+        assert decided == {"too few rows": 805, "accepted": 1616, "rejected": 79}
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-        J, w = _spectrum_case(42, 1e9)
-        assert wls._normal_cholesky(J, w, 1).tobytes() == \
-            np.linalg.cholesky((J.T * w) @ J).tobytes()
+    def test_factorizations_per_verdict_probe_and_iteration(
+            self, monkeypatch, schema8, noiseless8):
+        calls = collections.Counter()
+        for name in ("cholesky", "solve", "eigvalsh"):
+            def counted(*args, _name=name, _call=getattr(np.linalg, name)):
+                calls[_name] += 1
+                return _call(*args)
+            monkeypatch.setattr(np.linalg, name, counted)
+        J, w = _spectrum_case(422, 1e9)
+        assert wls._normal_matrix(J, w, 1).tobytes() == ((J.T * w) @ J).tobytes()
+        assert calls == {"cholesky": 1}
+        calls.clear()
         y, z = noiseless8
         problem = WlsProblem.from_schema(schema8, y, z)
         assert feasibility_check(problem)
-        assert estimate_wls(problem).converged
+        assert calls == {"cholesky": 1}
+        calls.clear()
+        est = estimate_wls(problem)
+        assert est.converged and est.iterations > 1
+        assert calls == {"cholesky": est.iterations, "solve": est.iterations}
+
+    def test_step_equals_a_cholesky_solve(self, protocol_problems):
+        # From 1e-3 p.u. off each solved state, one update of estimate_wls
+        # (tol=inf takes the first) equals a step solved with the Cholesky
+        # factor of the normal matrix.
+        rng = np.random.default_rng(20)
+        solved = 0
+        for problem in protocol_problems:
+            try:
+                x = estimate_wls(problem).x
+            except (RankDeficient, NoConvergence):
+                continue
+            solved += 1
+            x0 = x + 1e-3 * rng.standard_normal(len(x))
+            keep = ~problem.mask
+            J = jacobian(problem.schema, problem.Y, x0)[keep]
+            r = (problem.z - h_eval(problem.schema, problem.Y, x0))[keep]
+            w = problem.weights[keep]
+            step = cho_solve(cho_factor((J.T * w) @ J), J.T @ (w * r))
+            got = estimate_wls(problem, x0=x0, tol=np.inf)
+            assert got.iterations == 1
+            assert np.max(np.abs(got.x - (x0 + step))) <= 1e-10
+        assert solved == 1602
 
 
 def test_import_leaves_scipy_out():
