@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from .bench import (
+    METHOD_ABLATION,
     METHOD_DT,
     METHOD_WLS,
     ExperimentConfig,
@@ -40,7 +41,7 @@ from .errors import (
     RankDeficient,
     UnparseableNumber,
 )
-from .model import Estimator, input_layout, train
+from .model import ConcatBaselineModel, DtModel, Estimator, input_layout, train
 from .telemetry import export_csv
 
 EXIT_OK = 0
@@ -137,12 +138,14 @@ def cmd_eval(args):
                               f"{k} {trained.get(k)} in the checkpoint, {here[k]} here"
                               for k in here if trained.get(k) != here[k]))
     out = _out_dir(config)
+    # Rows are labelled as `sweep` labels the model's kind.
+    method = {DtModel.kind: METHOD_DT, ConcatBaselineModel.kind: METHOD_ABLATION}[model.kind]
 
     def point(alpha, seed):
         metrics, _, _ = evaluate_model(model, dataset, alpha, seed)
         print(f"alpha={alpha:g} seed={seed}: " +
               " ".join(f"{k}={v:.6g}" for k, v in metrics.items()))
-        return metric_rows(METHOD_DT, alpha, seed, metrics)
+        return metric_rows(method, alpha, seed, metrics)
 
     _evaluate_grid(config, out, point)
     return EXIT_OK

@@ -70,8 +70,8 @@ class MeasurementSchema:
                 raise UnknownChannelTarget(f"unknown channel kind {ch.kind!r}")
             if (ch.bus, ch.phase) not in feeder.node_index:
                 raise UnknownChannelTarget(f"channel targets missing phase-node {ch.bus}:{ch.phase}")
-            if not ch.sigma > 0:
-                raise ValueError(f"channel {ch.name}: sigma must be positive")
+            if not (ch.sigma > 0 and np.isfinite(ch.sigma)):
+                raise ValueError(f"channel {ch.name}: sigma must be finite and positive")
             if not (0.0 <= ch.alpha < 1.0):
                 raise InvalidAlpha(f"channel {ch.name}: alpha must lie in [0, 1)")
         self.channels = channels
@@ -97,8 +97,15 @@ class MeasurementSchema:
     @cached_property
     def weights(self):
         """Default WLS weights 1/sigma^2, read-only and shared by every problem
-        built on this schema."""
-        weights = 1.0 / self.sigmas**2
+        built on this schema. A sigma so small or large that its weight
+        overflows to inf or underflows to 0 is a ValueError here."""
+        with np.errstate(over="ignore", divide="ignore"):
+            weights = 1.0 / self.sigmas**2
+        bad = ~(np.isfinite(weights) & (weights > 0))
+        if np.any(bad):
+            channel = self.channels[np.flatnonzero(bad)[0]]
+            raise ValueError(f"channel {channel.name}: sigma {channel.sigma:g} has no finite "
+                             "positive weight 1/sigma^2")
         weights.flags.writeable = False
         return weights
 

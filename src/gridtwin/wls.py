@@ -14,16 +14,20 @@ Cholesky of A shifted down by 10 * ||A||_inf / COND_LIMIT that succeeds
 certifies cond(A) < COND_LIMIT / 10, so most verdicts take that one Cholesky
 factorization and no eigenvalues; the rest fall back to the eigenvalues of
 A. Every verdict and message equals the eigenvalue rule's
-(`_normal_matrix`). An accepted iteration thus factors twice: the shifted
-Cholesky, then the LU of the solve.
+(`_normal_matrix`). An accepted iteration thus factors twice, the shifted
+Cholesky and then the LU of the solve, except a complete first iteration
+(below), which only solves.
 
 Deletion works on row slices. A `MeasurementModel` evaluates h and J over
 every channel of a schema; the flat-start x, h and J are computed once per
-(schema, contents of Y) and kept on the schema, never per mask or snapshot.
-A masked problem takes the rows it keeps from those, so the rank probe
-(`feasibility_check`) and the first Gauss-Newton iteration evaluate nothing
-at the flat start and no per-mask schema is built. `drop_missing` still
-builds the subset problem, which the row slices equal bit for bit.
+(schema, contents of Y) and kept on the schema, never per mask or snapshot,
+and so is the verdict of the complete channel set under the schema's own
+weights. A masked problem takes the rows it keeps from those, so the rank
+probe (`feasibility_check`) and the first Gauss-Newton iteration evaluate
+nothing at the flat start and no per-mask schema is built; a problem that
+masks nothing and keeps the schema's weights takes the flat-start J and
+verdict as they are and factors nothing there. `drop_missing` still builds
+the subset problem, which the row slices equal bit for bit.
 """
 
 from __future__ import annotations
@@ -43,8 +47,8 @@ COND_LIMIT = 1e12
 class WlsProblem:
     """One estimation instance: schema-bound measurements plus weights.
 
-    `weights` are the diagonal of W = R^-1; by default 1/sigma^2 from the
-    schema. `mask` (True = missing, one entry per channel) is optional;
+    `weights` are the diagonal of W = R^-1, finite and positive; by default
+    1/sigma^2 from the schema. `mask` (True = missing, one entry per channel) is optional;
     estimate_wls solves on the rows it leaves, whose readings from_schema
     requires to be finite.
     """
@@ -59,9 +63,9 @@ class WlsProblem:
     def from_schema(cls, schema, Y, z, mask=None, weights=None):
         if weights is None:
             weights = schema.weights
-        weights = np.asarray(weights, dtype=float)
-        if np.any(weights <= 0):
-            raise ValueError("weights must be strictly positive")
+        else:
+            weights = np.asarray(weights, dtype=float)
+            _check_weights(weights)
         if len(z) != len(schema) or len(weights) != len(schema):
             raise ValueError("measurement/weight length does not match schema")
         z = np.asarray(z, dtype=float)
@@ -82,6 +86,13 @@ class WlsProblem:
     def redundancy_ratio(self):
         """Measurements left by the mask per state."""
         return len(_keep(self)) / self.n_states
+
+
+def _check_weights(weights):
+    # A NaN or infinite weight makes a NaN normal matrix, which Cholesky
+    # returns a NaN factor for without raising: the rank verdict would pass it.
+    if not np.all(np.isfinite(weights) & (weights > 0)):
+        raise ValueError("weights must be finite and strictly positive")
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,9 +136,10 @@ class MeasurementModel:
     """h and J of one schema over one admittance matrix.
 
     Holds what no mask or snapshot changes: the rows of Y that the channels
-    read, the state column of each channel's own node, and x, h and J at the
-    flat start. `of` builds one per (schema, contents of Y) and keeps it on
-    the schema; a masked problem solves on row slices of it.
+    read, the state column of each channel's own node, x, h and J at the
+    flat start, and the flat-start verdict of every channel under the
+    schema's weights. `of` builds one per (schema, contents of Y) and keeps
+    it on the schema; a masked problem solves on row slices of it.
     """
 
     def __init__(self, schema, Y):
@@ -150,9 +162,15 @@ class MeasurementModel:
         self.x_flat = flat_state(feeder)
         self.h_flat = h_eval(schema, Y, self.x_flat)
         self.J_flat = self.jacobian(self.x_flat)
+        # The normal matrix of the complete channel set, or the message of its
+        # RankDeficient verdict; `flat_start` hands out a fresh verdict per call.
+        self.weights = schema.weights
+        verdict = _normal_matrix(self.J_flat, self.weights, 1)
+        self.A_flat = str(verdict) if isinstance(verdict, RankDeficient) else verdict
         # Shared by every problem on this schema and Y.
-        for a in (self.x_flat, self.h_flat, self.J_flat):
-            a.flags.writeable = False
+        for a in (self.x_flat, self.h_flat, self.J_flat, self.A_flat):
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
 
     @classmethod
     def of(cls, schema, Y):
@@ -162,6 +180,19 @@ class MeasurementModel:
         if model is None:
             model = schema.measurement_models[key] = cls(schema, Y)
         return model
+
+    def flat_start(self, problem, keep):
+        """(J, A) at the flat start on the rows `keep` of `problem`: the
+        Jacobian's rows and `_normal_matrix` of them under the problem's
+        weights, for the first iteration. A problem that keeps every row under
+        the schema's own weights gets J_flat and the verdict computed when the
+        model was built, which equal the sliced ones bit for bit."""
+        if len(keep) == len(self.idx) and problem.weights is self.weights:
+            if isinstance(self.A_flat, str):
+                return self.J_flat, RankDeficient(self.A_flat)
+            return self.J_flat, self.A_flat
+        J = _rows(self.J_flat, keep)
+        return J, _normal_matrix(J, problem.weights[keep], 1)
 
     def jacobian(self, x):
         """Closed-form Jacobian of h at x, column-major.
@@ -227,7 +258,11 @@ def _keep(problem):
 
 def _prepare(problem):
     """Positions of the rows that are not masked, or a RankDeficient verdict
-    when fewer rows than states remain."""
+    when fewer rows than states remain. Weights other than the schema's own
+    (which the schema checks when it computes them) are checked here too, for
+    a problem built without from_schema."""
+    if problem.weights is not problem.schema.weights:
+        _check_weights(problem.weights)
     keep = _keep(problem)
     n = problem.n_states
     if len(keep) < n:
@@ -319,8 +354,11 @@ def _gauss_newton(problem, x0, tol, max_iter):
         x = np.array(x0, dtype=float)
         r, f = residual(x)
     for iteration in range(1, max_iter + 1):
-        J = _rows(model.J_flat if x is model.x_flat else model.jacobian(x), keep)
-        A = _normal_matrix(J, w, iteration)
+        if x is model.x_flat:
+            J, A = model.flat_start(problem, keep)
+        else:
+            J = _rows(model.jacobian(x), keep)
+            A = _normal_matrix(J, w, iteration)
         if isinstance(A, RankDeficient):
             return A
         delta = np.linalg.solve(A, J.T @ (w * r))
@@ -362,6 +400,5 @@ def feasibility_check(problem):
     keep = _prepare(problem)
     if isinstance(keep, RankDeficient):
         return False
-    J = MeasurementModel.of(problem.schema, problem.Y).J_flat
-    A = _normal_matrix(_rows(J, keep), problem.weights[keep], iteration=1)
+    _, A = MeasurementModel.of(problem.schema, problem.Y).flat_start(problem, keep)
     return not isinstance(A, RankDeficient)

@@ -415,6 +415,24 @@ class TestSweepTimeseries:
         assert (tmp_path / "fresh.csv").read_bytes() == (out / "timeseries.csv").read_bytes()
 
 
+class TestSweepInOneProcess:
+    def test_second_sweep_writes_the_same_bytes(self, tmp_path):
+        # Nothing kept from the first sweep (the per-schema measurement models
+        # and their flat-start verdicts among it) may change the second.
+        written = []
+        for run in ("first", "second"):
+            config = ExperimentConfig(
+                steps=40, alphas=(0.0, 0.4), seeds=(0,), wls_failure_seeds=2,
+                output_dir=str(tmp_path / run),
+                model={"d": 8, "d_ff": 16, "blocks": 1, "heads": 2, "groups": 1, "window": 4,
+                       "epochs": 1, "seed": 7},
+            )
+            bench.run_sweep(config)
+            written.append({name: (tmp_path / run / name).read_bytes()
+                            for name in ("metrics.csv", "summary.csv", "timeseries.csv")})
+        assert written[0] == written[1]
+
+
 class TestImportedBlanks:
     """Blank cells of an imported CSV are missing for WLS and its rank probe,
     not zero readings."""

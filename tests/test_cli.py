@@ -85,6 +85,17 @@ class TestTrainEval:
         assert {r["method"] for r in rows} == {"dt"}
         assert {r["alpha"] for r in rows} == {0.0, 0.4}
 
+    def test_eval_labels_rows_by_the_checkpoints_model_kind(self, config_path, tmp_path):
+        assert run_cli("sweep", "--config", str(config_path)).returncode == 0
+        out = tmp_path / "out"
+        result = run_cli("eval", "--config", str(config_path), "--out", str(tmp_path / "ab"),
+                         "--checkpoint", str(out / "checkpoint_ablation.json"))
+        assert result.returncode == 0, result.stderr
+        rows = read_metrics_csv(tmp_path / "ab" / "metrics.csv")
+        assert {r["method"] for r in rows} == {"ablation"}
+        assert rows == [r for r in read_metrics_csv(out / "metrics.csv")
+                        if r["method"] == "ablation"]
+
     def test_eval_without_checkpoint(self, config_path, tmp_path):
         result = run_cli("eval", "--config", str(config_path))
         assert result.returncode == 2

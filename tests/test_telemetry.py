@@ -48,10 +48,19 @@ class TestSchema:
         with pytest.raises(UnknownChannelTarget):
             MeasurementSchema([Channel("V_magnitude", "b2", "b", 0.01, 0.0)], feeder)
 
-    def test_sigma_positive(self, feeder2):
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf])
+    def test_sigma_finite_and_positive(self, feeder2, sigma):
         feeder, _ = feeder2
-        with pytest.raises(ValueError):
-            MeasurementSchema([Channel("V_magnitude", "b2", "a", 0.0, 0.0)], feeder)
+        with pytest.raises(ValueError, match="sigma must be finite and positive"):
+            MeasurementSchema([Channel("V_magnitude", "b2", "a", sigma, 0.0)], feeder)
+
+    @pytest.mark.parametrize("sigma", [1e-200, 1e200])
+    def test_weight_must_be_finite_and_positive(self, feeder2, sigma):
+        feeder, _ = feeder2
+        schema = MeasurementSchema([Channel("V_magnitude", "b2", "a", 0.01, 0.0),
+                                    Channel("P_injection", "b2", "a", sigma, 0.0)], feeder)
+        with pytest.raises(ValueError, match="P_injection:b2:a: sigma .* no finite positive"):
+            schema.weights
 
     def test_names_follow_channel_order(self, schema8):
         names = schema8.names

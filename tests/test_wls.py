@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import gc
 import subprocess
 import sys
@@ -131,6 +132,30 @@ class TestEstimate:
         finite[3] = 0.0
         assert estimate_wls(WlsProblem.from_schema(schema8, y, z, mask=mask)).x.tobytes() == \
             estimate_wls(WlsProblem.from_schema(schema8, y, finite, mask=mask)).x.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    def test_non_finite_or_non_positive_weight_is_refused(self, schema8, noiseless8, bad):
+        y, z = noiseless8
+        weights = schema8.weights.copy()
+        weights[3] = bad
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            WlsProblem.from_schema(schema8, y, z, weights=weights)
+        # Built directly, the problem is refused by the probe, which would
+        # otherwise certify the NaN normal matrix, and by the solve.
+        direct = WlsProblem(schema=schema8, Y=y, z=z, weights=weights)
+        for solve in (feasibility_check, estimate_wls):
+            with pytest.raises(ValueError, match="finite and strictly positive"):
+                solve(direct)
+
+    @pytest.mark.parametrize("sigma", [1e-200, 1e200])
+    def test_sigma_without_a_finite_positive_weight_is_refused(self, schema8, noiseless8,
+                                                               sigma):
+        y, z = noiseless8
+        channels = list(schema8.channels)
+        channels[3] = dataclasses.replace(channels[3], sigma=sigma)
+        schema = MeasurementSchema(channels, schema8.feeder)
+        with pytest.raises(ValueError, match="no finite positive weight"):
+            WlsProblem.from_schema(schema, y, z)
 
     def test_redundancy_ratio_counts_kept_rows(self, schema8, noiseless8):
         y, z = noiseless8
@@ -298,9 +323,92 @@ class TestRowSlices:
     def test_model_arrays_are_read_only(self, schema8, noiseless8):
         y, z = noiseless8
         model = MeasurementModel.of(schema8, y)
-        for a in (model.x_flat, model.h_flat, model.J_flat):
+        for a in (model.x_flat, model.h_flat, model.J_flat, model.A_flat):
             with pytest.raises(ValueError):
                 a[0] = 0.0
+
+
+def _uncached_flat_start(model, problem, keep):
+    """MeasurementModel.flat_start without the model's verdict: the row slice
+    of J_flat and its normal matrix, computed afresh on every call."""
+    J = wls._rows(model.J_flat, keep)
+    return J, wls._normal_matrix(J, problem.weights[keep], 1)
+
+
+def _probe_and_outcome(problem):
+    return feasibility_check(problem), _outcome(problem)
+
+
+class TestFlatStartVerdict:
+    """A problem that masks nothing and keeps the schema's weights takes J_flat
+    and the verdict its model computed once; it decides and solves bit for bit
+    as the row slices computed afresh do."""
+
+    @pytest.fixture(scope="class", params=["eight_bus", "partial_phases"])
+    def case(self, request, schema8):
+        if request.param == "eight_bus":
+            schema = MeasurementSchema(schema8.channels, schema8.feeder)
+        else:
+            schema = default_schema(build_feeder(partial_phase_spec()),
+                                    vang_nodes=["m:a", "m:c", "e:a"])
+        y = admittance_matrix(schema.feeder)
+        z = h_eval(schema, y, flat_state(schema.feeder) + 0.01)
+        rng = np.random.default_rng(21)
+        return schema, y, [z + schema.sigmas * rng.standard_normal(len(z)) for _ in range(20)]
+
+    def test_complete_problems_equal_the_uncached_computation(self, case, monkeypatch):
+        schema, y, snapshots = case
+        model = MeasurementModel.of(schema, y)
+        problems = [WlsProblem.from_schema(schema, y, z) for z in snapshots]
+        keep = np.arange(len(schema))
+        J, A = model.flat_start(problems[0], keep)
+        assert J is model.J_flat and A is model.A_flat
+        fresh = wls._normal_matrix(wls._rows(model.J_flat, keep), schema.weights[keep], 1)
+        assert A.tobytes() == fresh.tobytes()
+        cached = [_probe_and_outcome(problem) for problem in problems]
+        assert all(verdict and isinstance(outcome[0], bytes) for verdict, outcome in cached)
+        monkeypatch.setattr(MeasurementModel, "flat_start", _uncached_flat_start)
+        assert [_probe_and_outcome(problem) for problem in problems] == cached
+
+    def test_copied_weights_and_masks_take_the_uncached_path(self, case):
+        schema, y, snapshots = case
+        model = MeasurementModel.of(schema, y)
+        z, keep = snapshots[0], np.arange(len(schema))
+        default = WlsProblem.from_schema(schema, y, z)
+        copied = WlsProblem.from_schema(schema, y, z, weights=schema.weights.copy())
+        J, A = model.flat_start(copied, keep)
+        assert J is not model.J_flat and A is not model.A_flat
+        assert J.tobytes() == model.J_flat.tobytes() and A.tobytes() == model.A_flat.tobytes()
+        assert _probe_and_outcome(copied) == _probe_and_outcome(default)
+        # A mask that removes nothing keeps every row: the kept verdict applies.
+        unmasked = WlsProblem.from_schema(schema, y, z, mask=np.zeros(len(schema), dtype=bool))
+        assert model.flat_start(unmasked, keep)[1] is model.A_flat
+        assert _probe_and_outcome(unmasked) == _probe_and_outcome(default)
+        rng = np.random.default_rng(22)
+        for _ in range(20):
+            mask = rng.random(len(schema)) < 0.2
+            mask[rng.integers(len(schema))] = True
+            masked = WlsProblem.from_schema(schema, y, z, mask=mask)
+            J, A = model.flat_start(masked, np.flatnonzero(~mask))
+            assert J is not model.J_flat and A is not model.A_flat
+            assert _probe_and_outcome(masked) == _probe_and_outcome(drop_missing(masked))
+
+    def test_rank_deficient_complete_set_gives_a_fresh_verdict_per_call(self, case):
+        schema, y, _ = case
+        # Every state count of rows, all from one channel: J has rank one.
+        n = schema.feeder.n_states
+        repeated = MeasurementSchema([schema[0]] * (n + 2), schema.feeder)
+        problem = WlsProblem.from_schema(repeated, y, h_eval(repeated, y,
+                                                             flat_state(repeated.feeder)))
+        model = MeasurementModel.of(repeated, y)
+        assert isinstance(model.A_flat, str)
+        keep = np.arange(len(repeated))
+        fresh = wls._normal_matrix(wls._rows(model.J_flat, keep), problem.weights[keep], 1)
+        assert isinstance(fresh, RankDeficient)
+        assert not feasibility_check(problem)
+        first, second = _raised_verdict(problem), _raised_verdict(problem)
+        assert type(first) is type(second) is RankDeficient and first is not second
+        assert str(first) == str(second) == str(fresh) == model.A_flat
 
 
 class TestDropMissing:
@@ -560,15 +668,22 @@ class TestRankVerdict:
         J, w = _spectrum_case(422, 1e9)
         assert wls._normal_matrix(J, w, 1).tobytes() == ((J.T * w) @ J).tobytes()
         assert calls == {"cholesky": 1}
-        calls.clear()
         y, z = noiseless8
-        problem = WlsProblem.from_schema(schema8, y, z)
-        assert feasibility_check(problem)
-        assert calls == {"cholesky": 1}
+        MeasurementModel.of(schema8, y)
         calls.clear()
-        est = estimate_wls(problem)
-        assert est.converged and est.iterations > 1
-        assert calls == {"cholesky": est.iterations, "solve": est.iterations}
+        # A masked problem factors its flat-start rows once per probe and per
+        # iteration; a complete one takes the model's verdict at the flat start.
+        mask = np.zeros(len(schema8), dtype=bool)
+        mask[0] = True
+        for problem, flat in ((WlsProblem.from_schema(schema8, y, z, mask=mask), 1),
+                              (WlsProblem.from_schema(schema8, y, z), 0)):
+            assert feasibility_check(problem)
+            assert calls == ({"cholesky": 1} if flat else {})
+            calls.clear()
+            est = estimate_wls(problem)
+            assert est.converged and est.iterations > 1
+            assert calls == {"cholesky": est.iterations - 1 + flat, "solve": est.iterations}
+            calls.clear()
 
     def test_step_equals_a_cholesky_solve(self, protocol_problems):
         # From 1e-3 p.u. off each solved state, one update of estimate_wls
