@@ -3,9 +3,20 @@
 Everything is float64. A Tape records forward operations in order; backward
 walks the record in exact reverse, so gradients are deterministic for a
 deterministic op sequence. Parameters are long-lived named arrays injected
-into a fresh tape each step via Tape.watch; backward overwrites their .grad
-(a second backward on the same tape reproduces the first), or adds to it
-when asked to accumulate, which sums the gradients of several tapes.
+into a fresh tape each step via Tape.watch; backward overwrites the .grad of
+every watched parameter, with zeros where the loss does not reach it (a
+second backward on the same tape reproduces the first), or adds to it when
+asked to accumulate, which sums the gradients of several tapes.
+
+An op is a forward function, which checks its operands and records its
+output, and a backward function _back_<op>(g, out, ctx, *inputs): given the
+gradient g of the output, the output, the op's ctx and the input values, it
+returns one gradient term per input, in input order, and writes into none
+of its arrays. ctx holds only what the arrays do not: scale's factor,
+slice_lastdim's bounds, and the intermediates that attention and cross_gate
+keep for their backward passes. Tape.backward alone reads the record: it
+adds each term to its input's gradient in input order, so an op that takes
+one tensor twice, as mul(t, t), sums its terms in that order.
 
 Supported ops: matmul, add, sub, mul, scale, transpose, row_softmax,
 sigmoid, relu, concat_lastdim, slice_lastdim, mean_all, square, the branch
@@ -117,27 +128,31 @@ class Tape:
         return Tensor(self, idx, self.values[idx])
 
     def backward(self, loss, accumulate=False):
-        """Populate .grad of every watched Parameter with d(loss)/d(param); with
-        `accumulate`, add it to a .grad already set instead."""
+        """Set .grad of every watched Parameter to d(loss)/d(param), zeros for a
+        parameter the loss does not reach; with `accumulate`, add it to a .grad
+        already set instead."""
         if loss.tape is not self:
             raise ValueError("loss belongs to a different tape")
         if loss.value.ndim != 0:
             raise NotScalarLoss(f"loss must be a scalar, got shape {loss.value.shape}")
+        values = self.values
         grads = [None] * len(self.ops)
         grads[loss.idx] = np.ones(())
         for i in range(loss.idx, -1, -1):
-            g = grads[i]
-            if g is None:
+            g, op = grads[i], self.ops[i]
+            if g is None or op == "leaf":
                 continue
-            op = self.ops[i]
-            if op == "leaf":
-                p = self.params[i]
-                if p is not None and accumulate and p.grad is not None:
+            inputs = self.inputs[i]
+            terms = _BACKWARD[op](g, values[i], self.ctx[i], *[values[j] for j in inputs])
+            for j, term in zip(inputs, terms, strict=True):
+                grads[j] = term if grads[j] is None else grads[j] + term
+        for i in self._watched.values():
+            p, g = self.params[i], grads[i]
+            if accumulate and p.grad is not None:
+                if g is not None:
                     p.grad += g
-                elif p is not None:
-                    p.grad = np.array(g, dtype=float)
-                continue
-            _BACKWARD[op](self, i, g, grads)
+            else:
+                p.grad = np.zeros_like(p.value) if g is None else np.array(g, dtype=float)
 
 
 class InferenceTape(Tape):
@@ -163,10 +178,6 @@ def _checked(op, value):
     return value
 
 
-def _accumulate(grads, idx, g):
-    grads[idx] = g if grads[idx] is None else grads[idx] + g
-
-
 def _tape_of(*tensors):
     tape = tensors[0].tape
     for t in tensors[1:]:
@@ -177,59 +188,43 @@ def _tape_of(*tensors):
 
 # --- elementwise with leading-axis broadcast ---
 
-def _broadcast_kind(a_shape, b_shape):
-    if a_shape == b_shape:
-        return "none"
-    if len(a_shape) == len(b_shape) + 1 and a_shape[1:] == b_shape:
-        return "b"  # b broadcasts over a's leading axis
-    if len(b_shape) == len(a_shape) + 1 and b_shape[1:] == a_shape:
-        return "a"
-    raise ShapeMismatch(f"elementwise shapes {a_shape} and {b_shape} do not align")
+def _elementwise(op, ufunc, a, b):
+    """Record ufunc(a, b) for shapes that are equal or differ by one leading
+    axis, over which the operand that lacks it broadcasts."""
+    tape = _tape_of(a, b)
+    short, long = sorted((a.shape, b.shape), key=len)
+    if not (a.shape == b.shape or (len(long) == len(short) + 1 and long[1:] == short)):
+        raise ShapeMismatch(f"elementwise shapes {a.shape} and {b.shape} do not align")
+    return tape._record(op, (a.idx, b.idx), ufunc(a.value, b.value))
 
 
-def _reduce_broadcast(g, kind, operand):
-    if kind == operand:
-        return g.sum(axis=0)
-    return g
+def _unbroadcast(g, x):
+    """g summed over the leading axis that operand x was broadcast over."""
+    return g.sum(axis=0) if g.ndim > x.ndim else g
 
 
 def add(a, b):
-    tape = _tape_of(a, b)
-    kind = _broadcast_kind(a.shape, b.shape)
-    return tape._record("add", (a.idx, b.idx), a.value + b.value, ctx=kind)
+    return _elementwise("add", np.add, a, b)
 
 
 def sub(a, b):
-    tape = _tape_of(a, b)
-    kind = _broadcast_kind(a.shape, b.shape)
-    return tape._record("sub", (a.idx, b.idx), a.value - b.value, ctx=kind)
+    return _elementwise("sub", np.subtract, a, b)
 
 
 def mul(a, b):
-    tape = _tape_of(a, b)
-    kind = _broadcast_kind(a.shape, b.shape)
-    return tape._record("mul", (a.idx, b.idx), a.value * b.value, ctx=kind)
+    return _elementwise("mul", np.multiply, a, b)
 
 
-def _back_add(tape, i, g, grads):
-    ia, ib = tape.inputs[i]
-    kind = tape.ctx[i]
-    _accumulate(grads, ia, _reduce_broadcast(g, kind, "a"))
-    _accumulate(grads, ib, _reduce_broadcast(g, kind, "b"))
+def _back_add(g, out, ctx, a, b):
+    return _unbroadcast(g, a), _unbroadcast(g, b)
 
 
-def _back_sub(tape, i, g, grads):
-    ia, ib = tape.inputs[i]
-    kind = tape.ctx[i]
-    _accumulate(grads, ia, _reduce_broadcast(g, kind, "a"))
-    _accumulate(grads, ib, _reduce_broadcast(-g, kind, "b"))
+def _back_sub(g, out, ctx, a, b):
+    return _unbroadcast(g, a), _unbroadcast(-g, b)
 
 
-def _back_mul(tape, i, g, grads):
-    ia, ib = tape.inputs[i]
-    kind = tape.ctx[i]
-    _accumulate(grads, ia, _reduce_broadcast(g * tape.values[ib], kind, "a"))
-    _accumulate(grads, ib, _reduce_broadcast(g * tape.values[ia], kind, "b"))
+def _back_mul(g, out, ctx, a, b):
+    return _unbroadcast(g * b, a), _unbroadcast(g * a, b)
 
 
 def scale(a, c):
@@ -237,8 +232,8 @@ def scale(a, c):
     return a.tape._record("scale", (a.idx,), a.value * c, ctx=c)
 
 
-def _back_scale(tape, i, g, grads):
-    _accumulate(grads, tape.inputs[i][0], g * tape.ctx[i])
+def _back_scale(g, out, c, a):
+    return (g * c,)
 
 
 def matmul(a, b):
@@ -250,10 +245,8 @@ def matmul(a, b):
     return tape._record("matmul", (a.idx, b.idx), a.value @ b.value)
 
 
-def _back_matmul(tape, i, g, grads):
-    ia, ib = tape.inputs[i]
-    _accumulate(grads, ia, g @ tape.values[ib].T)
-    _accumulate(grads, ib, tape.values[ia].T @ g)
+def _back_matmul(g, out, ctx, a, b):
+    return g @ b.T, a.T @ g
 
 
 def transpose(a):
@@ -262,8 +255,8 @@ def transpose(a):
     return a.tape._record("transpose", (a.idx,), a.value.T)
 
 
-def _back_transpose(tape, i, g, grads):
-    _accumulate(grads, tape.inputs[i][0], g.T)
+def _back_transpose(g, out, ctx, a):
+    return (g.T,)
 
 
 def row_softmax(a):
@@ -276,10 +269,9 @@ def row_softmax(a):
     return a.tape._record("row_softmax", (a.idx,), out)
 
 
-def _back_row_softmax(tape, i, g, grads):
-    y = tape.values[i]
+def _back_row_softmax(g, y, ctx, a):
     dot = (g * y).sum(axis=1, keepdims=True)
-    _accumulate(grads, tape.inputs[i][0], y * (g - dot))
+    return (y * (g - dot),)
 
 
 def sigmoid(a):
@@ -287,27 +279,24 @@ def sigmoid(a):
     return a.tape._record("sigmoid", (a.idx,), out)
 
 
-def _back_sigmoid(tape, i, g, grads):
-    y = tape.values[i]
-    _accumulate(grads, tape.inputs[i][0], g * y * (1.0 - y))
+def _back_sigmoid(g, y, ctx, a):
+    return (g * y * (1.0 - y),)
 
 
 def relu(a):
     return a.tape._record("relu", (a.idx,), np.maximum(a.value, 0.0))
 
 
-def _back_relu(tape, i, g, grads):
-    x = tape.values[tape.inputs[i][0]]
-    _accumulate(grads, tape.inputs[i][0], g * (x > 0))
+def _back_relu(g, out, ctx, x):
+    return (g * (x > 0),)
 
 
 def square(a):
     return a.tape._record("square", (a.idx,), a.value * a.value)
 
 
-def _back_square(tape, i, g, grads):
-    x = tape.values[tape.inputs[i][0]]
-    _accumulate(grads, tape.inputs[i][0], g * 2.0 * x)
+def _back_square(g, out, ctx, x):
+    return (g * 2.0 * x,)
 
 
 def concat_lastdim(a, b):
@@ -318,15 +307,12 @@ def concat_lastdim(a, b):
         "concat_lastdim",
         (a.idx, b.idx),
         np.concatenate([a.value, b.value], axis=-1),
-        ctx=a.shape[-1],
     )
 
 
-def _back_concat(tape, i, g, grads):
-    ia, ib = tape.inputs[i]
-    split = tape.ctx[i]
-    _accumulate(grads, ia, g[..., :split])
-    _accumulate(grads, ib, g[..., split:])
+def _back_concat_lastdim(g, out, ctx, a, b):
+    split = a.shape[-1]
+    return g[..., :split], g[..., split:]
 
 
 def slice_lastdim(a, start, stop):
@@ -335,20 +321,19 @@ def slice_lastdim(a, start, stop):
     return a.tape._record("slice_lastdim", (a.idx,), a.value[..., start:stop], ctx=(start, stop))
 
 
-def _back_slice(tape, i, g, grads):
-    start, stop = tape.ctx[i]
-    full = np.zeros_like(tape.values[tape.inputs[i][0]])
+def _back_slice_lastdim(g, out, ctx, a):
+    start, stop = ctx
+    full = np.zeros_like(a)
     full[..., start:stop] = g
-    _accumulate(grads, tape.inputs[i][0], full)
+    return (full,)
 
 
 def mean_all(a):
-    return a.tape._record("mean_all", (a.idx,), np.asarray(a.value.mean()), ctx=a.value.size)
+    return a.tape._record("mean_all", (a.idx,), np.asarray(a.value.mean()))
 
 
-def _back_mean_all(tape, i, g, grads):
-    src = tape.inputs[i][0]
-    _accumulate(grads, src, np.full_like(tape.values[src], float(g) / tape.ctx[i]))
+def _back_mean_all(g, out, ctx, a):
+    return (np.full_like(a, float(g) / a.size),)
 
 
 # --- branch axis: k branch tensors side by side, (..., k, T, d) ---
@@ -362,9 +347,8 @@ def stack_branches(*xs):
     return _tape_of(*xs)._record("stack_branches", tuple(x.idx for x in xs), value)
 
 
-def _back_stack_branches(tape, i, g, grads):
-    for b, ix in enumerate(tape.inputs[i]):
-        _accumulate(grads, ix, g[..., b, :, :])
+def _back_stack_branches(g, out, ctx, *xs):
+    return [g[..., b, :, :] for b in range(len(xs))]
 
 
 def merge_branches(a):
@@ -374,13 +358,12 @@ def merge_branches(a):
         raise ShapeMismatch(f"merge_branches needs a branch axis, got {a.shape}")
     *lead, t_len, _ = a.shape
     return a.tape._record("merge_branches", (a.idx,),
-                          a.value.swapaxes(-3, -2).reshape(*lead[:-1], t_len, -1), ctx=lead[-1])
+                          a.value.swapaxes(-3, -2).reshape(*lead[:-1], t_len, -1))
 
 
-def _back_merge_branches(tape, i, g, grads):
+def _back_merge_branches(g, out, ctx, a):
     # (..., T, k*d) -> (..., T, k, d) -> (..., k, T, d), a view of g
-    _accumulate(grads, tape.inputs[i][0],
-                g.reshape(*g.shape[:-1], tape.ctx[i], -1).swapaxes(-3, -2))
+    return (g.reshape(*g.shape[:-1], a.shape[-3], -1).swapaxes(-3, -2),)
 
 
 # --- fused layers; leading axes of the input are batch or weight axes ---
@@ -420,14 +403,10 @@ def linear(x, w, b):
     return tape._record("linear", (x.idx, w.idx, b.idx), x.value @ w.value + bias)
 
 
-def _back_linear(tape, i, g, grads):
-    ix, iw, ib = tape.inputs[i]
-    w = tape.values[iw]
+def _back_linear(g, out, ctx, x, w, b):
     k = w.ndim - 2
     g_rows = _weight_rows(g, k)
-    _accumulate(grads, ib, g_rows.sum(axis=-2))
-    _accumulate(grads, ix, g @ _t(w))
-    _accumulate(grads, iw, _t(_weight_rows(tape.values[ix], k)) @ g_rows)
+    return g @ _t(w), _t(_weight_rows(x, k)) @ g_rows, g_rows.sum(axis=-2)
 
 
 def attention(x, wq, wk, wv, wo, heads, groups):
@@ -485,11 +464,8 @@ def _time_first(a):
     return a.swapaxes(-3, -2).swapaxes(-4, -3)
 
 
-def _back_attention(tape, i, g, grads):
-    ix, iq, ik, iv, io = tape.inputs[i]
-    q, k, v, weights, merged, c = tape.ctx[i]
-    x = tape.values[ix]
-    wq, wk, wv, wo = (tape.values[j] for j in (iq, ik, iv, io))
+def _back_attention(g, out, ctx, x, wq, wk, wv, wo):
+    q, k, v, weights, merged, c = ctx
     n_axes = wq.ndim - 2
     *lead, t_len, d = x.shape
     groups, per_group, _, d_head = q.shape[-4:]
@@ -501,12 +477,11 @@ def _back_attention(tape, i, g, grads):
     g_k = (g_scores.swapaxes(-1, -2) @ q).sum(axis=-3)
     g_k, g_v = (a.swapaxes(-3, -2).reshape(*lead, t_len, groups * d_head) for a in (g_k, g_v))
     x_rows = _t(_weight_rows(x, n_axes))
-    _accumulate(grads, io, _t(_weight_rows(merged, n_axes)) @ _weight_rows(g, n_axes))
-    _accumulate(grads, iq, x_rows @ _weight_rows(g_q, n_axes))
-    _accumulate(grads, ik, x_rows @ _weight_rows(g_k, n_axes))
-    _accumulate(grads, iv, x_rows @ _weight_rows(g_v, n_axes))
-    g_x = g + g_q @ _t(wq) + g_k @ _t(wk) + g_v @ _t(wv)
-    _accumulate(grads, ix, g_x)
+    return (g + g_q @ _t(wq) + g_k @ _t(wk) + g_v @ _t(wv),
+            x_rows @ _weight_rows(g_q, n_axes),
+            x_rows @ _weight_rows(g_k, n_axes),
+            x_rows @ _weight_rows(g_v, n_axes),
+            _t(_weight_rows(merged, n_axes)) @ _weight_rows(g, n_axes))
 
 
 def cross_gate(a, w1, b1, w2, b2):
@@ -538,20 +513,13 @@ def cross_gate(a, w1, b1, w2, b2):
                         ctx=(hidden, s))
 
 
-def _back_cross_gate(tape, i, g, grads):
-    ia, i1, ib1, i2, ib2 = tape.inputs[i]
-    hidden, s = tape.ctx[i]
-    a = tape.values[ia]
-    w1, w2 = tape.values[i1], tape.values[i2]
+def _back_cross_gate(g, out, ctx, a, w1, b1, w2, b2):
+    hidden, s = ctx
     g_m = g[..., ::-1, :, :]
     g_pre2 = g_m * a * s * (1.0 - s)
-    g_rows = _weight_rows(g_pre2, 1)
-    _accumulate(grads, ib2, g_rows.sum(axis=-2))
-    _accumulate(grads, i2, _t(_weight_rows(hidden, 1)) @ g_rows)
+    g_rows2 = _weight_rows(g_pre2, 1)
     g_pre1 = (g_pre2 @ _t(w2)) * (hidden > 0)
-    g_rows = _weight_rows(g_pre1, 1)
-    _accumulate(grads, ib1, g_rows.sum(axis=-2))
-    _accumulate(grads, i1, _t(_weight_rows(a, 1)) @ g_rows)
+    g_rows1 = _weight_rows(g_pre1, 1)
     # Gradient terms of a: through the product (m), the gate (l) and the
     # residual (r). The per-branch record sums branch 0's as (m + l) + r and
     # branch 1's as (r + m) + l, because it builds out[0] before out[1].
@@ -559,31 +527,11 @@ def _back_cross_gate(tape, i, g, grads):
     g_a = np.empty_like(a)
     g_a[..., 0, :, :] = m[..., 0, :, :] + l[..., 0, :, :] + g[..., 0, :, :]
     g_a[..., 1, :, :] = g[..., 1, :, :] + m[..., 1, :, :] + l[..., 1, :, :]
-    _accumulate(grads, ia, g_a)
+    return (g_a, _t(_weight_rows(a, 1)) @ g_rows1, g_rows1.sum(axis=-2),
+            _t(_weight_rows(hidden, 1)) @ g_rows2, g_rows2.sum(axis=-2))
 
 
-_BACKWARD = {
-    "add": _back_add,
-    "sub": _back_sub,
-    "mul": _back_mul,
-    "scale": _back_scale,
-    "matmul": _back_matmul,
-    "transpose": _back_transpose,
-    "row_softmax": _back_row_softmax,
-    "sigmoid": _back_sigmoid,
-    "relu": _back_relu,
-    "square": _back_square,
-    "concat_lastdim": _back_concat,
-    "slice_lastdim": _back_slice,
-    "mean_all": _back_mean_all,
-    "stack_branches": _back_stack_branches,
-    "merge_branches": _back_merge_branches,
-    "linear": _back_linear,
-    "attention": _back_attention,
-    "cross_gate": _back_cross_gate,
-}
-
-# name -> callable, for op-sweep tests
+# name -> forward op; an op's backward is the function _back_<name>
 OPS = {
     "matmul": matmul,
     "add": add,
@@ -604,6 +552,7 @@ OPS = {
     "attention": attention,
     "cross_gate": cross_gate,
 }
+_BACKWARD = {name: globals()[f"_back_{name}"] for name in OPS}
 
 
 def grad_check(f, x, step=1e-5):

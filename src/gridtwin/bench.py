@@ -93,6 +93,9 @@ class ExperimentConfig:
                 raise ConfigError(f"schema.{key} must be positive and finite")
         if self.day_steps < 1:
             raise ConfigError("profile.day_steps must be at least 1")
+        for key in ("amplitude", "jitter"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"profile.{key} must be finite")
         for key, values in (("noise_seed", [self.noise_seed]),
                             ("profile.seed", [self.profile_seed]),
                             ("evaluation.seeds", self.seeds),
@@ -162,6 +165,15 @@ class ExperimentConfig:
             yaml.safe_dump(self.to_dict(), fh, sort_keys=False)
 
 
+def _integer(value):
+    """Parser of an int key: an int, an integral float or a decimal string
+    such as "12". A bool or a fraction is refused rather than read as 1 or
+    truncated."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _list_of(item):
     """Parser of a list key: each entry through `item`. A string or a scalar
     is refused rather than read as a sequence of characters or digits."""
@@ -177,13 +189,13 @@ def _list_of(item):
 # to_dict writes each field through its parser, tuples as lists.
 CONFIG_LAYOUT = (
     (None, "feeder", "feeder", str),
-    (None, "steps", "steps", int),
+    (None, "steps", "steps", _integer),
     (None, "train_fraction", "train_fraction", float),
-    ("profile", "seed", "profile_seed", int),
-    ("profile", "day_steps", "day_steps", int),
+    ("profile", "seed", "profile_seed", _integer),
+    ("profile", "day_steps", "day_steps", _integer),
     ("profile", "amplitude", "amplitude", float),
     ("profile", "jitter", "jitter", float),
-    (None, "noise_seed", "noise_seed", int),
+    (None, "noise_seed", "noise_seed", _integer),
     ("schema", "power_sigma", "power_sigma", float),
     ("schema", "vmag_sigma", "vmag_sigma", float),
     ("schema", "vang_sigma", "vang_sigma", float),
@@ -192,8 +204,8 @@ CONFIG_LAYOUT = (
     ("schema", "vang_nodes", "vang_nodes", _list_of(str)),
     (None, "model", "model", lambda v: dict(v or {})),
     ("evaluation", "alphas", "alphas", _list_of(float)),
-    ("evaluation", "seeds", "seeds", _list_of(int)),
-    ("evaluation", "wls_failure_seeds", "wls_failure_seeds", int),
+    ("evaluation", "seeds", "seeds", _list_of(_integer)),
+    ("evaluation", "wls_failure_seeds", "wls_failure_seeds", _integer),
     ("evaluation", "timeseries_node", "timeseries_node", str),
     (None, "output_dir", "output_dir", str),
 )

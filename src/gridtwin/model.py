@@ -42,6 +42,7 @@ of each epoch) run on an InferenceTape, which records nothing.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, fields, is_dataclass
 
 import numpy as np
@@ -52,6 +53,10 @@ from .telemetry import draw_mask
 
 GROUP = 16  # training windows per optimizer step
 STD_FLOOR = 1e-12  # a state whose training std is not above this keeps scale 1
+# ModelConfig field annotation -> (accepted type, its name in an error); a
+# bool is accepted only where the annotation is bool
+_FIELD_TYPES = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a real number"),
+               "bool": (bool, "true or false")}
 
 
 @dataclass(frozen=True)
@@ -72,6 +77,11 @@ class ModelConfig:
     optimizer: str = "sgd"  # optional "adam"; plain SGD is the default
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind, label = _FIELD_TYPES.get(f.type, (object, ""))
+            if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
+                raise TypeError(f"{f.name} must be {label}, got {value!r}")
         for name in ("d", "d_ff", "blocks", "heads", "groups", "window"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")

@@ -100,14 +100,33 @@ class TestBackward:
         tape.backward(loss)
         assert np.array_equal(p.grad, np.array([6.0]))
 
-    def test_second_backward_equals_first(self):
-        p = ad.Parameter("x", np.array([[1.0, -2.0], [0.5, 4.0]]))
+    def test_watched_parameter_the_loss_does_not_reach_gets_zeros(self):
+        p, q = ad.Parameter("p", np.ones(3)), ad.Parameter("q", np.ones(2))
         tape = ad.Tape()
-        loss = ad.mean_all(ad.square(ad.sigmoid(tape.watch(p))))
-        tape.backward(loss)
-        first = p.grad.copy()
-        tape.backward(loss)
-        assert np.array_equal(first, p.grad)
+        tp, tq = tape.watch(p), tape.watch(q)
+        tape.backward(ad.mean_all(ad.square(tp)))
+        assert np.array_equal(p.grad, np.full(3, 2 / 3)) and np.array_equal(q.grad, np.zeros(2))
+        tape.backward(ad.mean_all(ad.square(tq)))
+        assert np.array_equal(p.grad, np.zeros(3)) and np.array_equal(q.grad, np.ones(2))
+        # a fresh tape that watches p but whose loss uses only q
+        p.grad = np.full(3, 2 / 3)
+        tape = ad.Tape()
+        tape.watch(p)
+        tape.backward(ad.mean_all(ad.square(tape.watch(q))))
+        assert np.array_equal(p.grad, np.zeros(3))
+        ad.sgd_step([p, q], lr=0.1)
+        assert np.array_equal(p.value, np.ones(3))
+
+    def test_accumulate_keeps_or_zero_fills_an_unreached_gradient(self):
+        p, q = ad.Parameter("p", np.ones(3)), ad.Parameter("q", np.ones(2))
+        p.grad = np.array([1.0, 2.0, 3.0])
+        tape = ad.Tape()
+        tape.watch(p)
+        tape.backward(ad.mean_all(ad.square(tape.watch(q))), accumulate=True)
+        assert np.array_equal(p.grad, [1.0, 2.0, 3.0]) and np.array_equal(q.grad, np.ones(2))
+        p.grad = None
+        tape.backward(ad.mean_all(ad.square(tape.watch(q))), accumulate=True)
+        assert np.array_equal(p.grad, np.zeros(3)) and np.array_equal(q.grad, np.full(2, 2.0))
 
     def test_not_scalar_loss(self):
         p = ad.Parameter("x", np.ones((2, 2)))
@@ -197,6 +216,26 @@ def _gate_consts(rng, rows, cols):
             "e_gate": rng.normal(size=(2, rows, cols))}
 
 
+def _draw_consts(rng, rows, cols):
+    """Fill _CONST with the constants OP_CASES read, for rows x cols inputs."""
+    _CONST.update(m=rng.normal(size=(cols, 3)), e=rng.normal(size=(rows, cols)),
+                  b=rng.normal(size=3), e_linear=rng.normal(size=(2, rows, 3)),
+                  wq=rng.normal(size=(8, 8)), wk=rng.normal(size=(8, 4)),
+                  wv=rng.normal(size=(8, 4)), wo=rng.normal(size=(8, 8)),
+                  e_attention=rng.normal(size=(2, rows, 8)), **_gate_consts(rng, rows, cols))
+
+
+# One tensor passed into several slots of an op: the tape sums the terms.
+SHARED_CASES = {
+    "add": lambda t: ad.mean_all(ad.square(ad.add(t, t))),
+    "sub": lambda t: ad.mean_all(ad.sub(t, t)),
+    "mul": lambda t: ad.mean_all(ad.mul(t, t)),
+    "matmul": lambda t: ad.mean_all(ad.square(ad.matmul(t, t))),
+    "concat_lastdim": lambda t: ad.mean_all(ad.square(ad.concat_lastdim(t, t))),
+    "stack_branches": lambda t: ad.mean_all(ad.square(ad.stack_branches(t, t, t))),
+}
+
+
 # Every argument of a fused op, with a batch axis and groups < heads; the
 # "_stacked" cases give the weights a branch axis of 2.
 FUSED_ARGS = {
@@ -225,14 +264,7 @@ class TestGradCheck:
             # keep relu away from its kink so finite differences stay clean
             if op == "relu":
                 x = np.where(np.abs(x) < 0.05, 0.2, x)
-            _CONST["m"] = rng.normal(size=(cols, 3))
-            _CONST["e"] = rng.normal(size=(rows, cols))
-            _CONST["b"] = rng.normal(size=3)
-            _CONST["e_linear"] = rng.normal(size=(2, rows, 3))
-            for name, shape in (("wq", (8, 8)), ("wk", (8, 4)), ("wv", (8, 4)), ("wo", (8, 8))):
-                _CONST[name] = rng.normal(size=shape)
-            _CONST["e_attention"] = rng.normal(size=(2, rows, 8))
-            _CONST.update(_gate_consts(rng, rows, cols))
+            _draw_consts(rng, rows, cols)
             err = ad.grad_check(OP_CASES[op], x, step=1e-5)
             assert err < 1e-4, f"{op} trial {trial}: {err}"
 
@@ -384,6 +416,35 @@ class TestGradCheck:
         assert err < 1e-10
 
 
+class TestOpContract:
+    @pytest.mark.parametrize("op", sorted(OP_CASES))
+    def test_second_backward_equals_first(self, op):
+        # A backward receives the record's own arrays; writing into one would
+        # change the record and the second pass.
+        rng = np.random.default_rng(103)
+        rows, cols = 4, 5
+        p = ad.Parameter("x", rng.normal(size=OP_SHAPES.get(op, lambda r, c: (r, c))(rows, cols)))
+        _draw_consts(rng, rows, cols)
+        tape = ad.Tape()
+        loss = OP_CASES[op](tape.watch(p))
+        record = [v.copy() for v in tape.values]
+        tape.backward(loss)
+        first = p.grad.copy()
+        tape.backward(loss)
+        assert np.array_equal(first, p.grad)
+        assert len(tape.values) == len(record)
+        assert all(np.array_equal(v, r) for v, r in zip(tape.values, record, strict=True))
+
+    @pytest.mark.parametrize("op", sorted(SHARED_CASES))
+    def test_one_tensor_in_several_slots(self, op):
+        for trial in range(5):
+            rng = np.random.default_rng((102, trial))
+            rows = rng.integers(2, 6)
+            x = rng.normal(size=(rows, rows))  # square, for matmul(t, t)
+            err = ad.grad_check(SHARED_CASES[op], x, step=1e-5)
+            assert err < 1e-4, f"{op} trial {trial}: {err}"
+
+
 class TestTapeLifetime:
     def test_finished_tape_is_freed_without_the_cycle_collector(self):
         p = ad.Parameter("w", np.ones((2, 2)))
@@ -405,11 +466,7 @@ class TestInferenceTape:
         rng = np.random.default_rng(301)
         rows, cols = 4, 5
         x = rng.normal(size=OP_SHAPES.get(op, lambda r, c: (r, c))(rows, cols))
-        _CONST.update(m=rng.normal(size=(cols, 3)), e=rng.normal(size=(rows, cols)),
-                      b=rng.normal(size=3), e_linear=rng.normal(size=(2, rows, 3)),
-                      wq=rng.normal(size=(8, 8)), wk=rng.normal(size=(8, 4)),
-                      wv=rng.normal(size=(8, 4)), wo=rng.normal(size=(8, 8)),
-                      e_attention=rng.normal(size=(2, rows, 8)), **_gate_consts(rng, rows, cols))
+        _draw_consts(rng, rows, cols)
         p = ad.Parameter("x", x)
         recorded = OP_CASES[op](ad.Tape().watch(p)).value
         tape = ad.InferenceTape()

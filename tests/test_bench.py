@@ -137,7 +137,10 @@ class TestConfig:
             ExperimentConfig.from_dict(raw)
 
     @pytest.mark.parametrize("raw", [{"steps": "abc"}, {"profile": {"jitter": "x"}},
-                                     {"evaluation": {"seeds": [None]}}, {"schema": 3}, "abc"])
+                                     {"evaluation": {"seeds": [None]}}, {"schema": 3}, "abc",
+                                     {"steps": 120.7}, {"noise_seed": True},
+                                     {"profile": {"day_steps": 1.5}},
+                                     {"evaluation": {"seeds": [False]}}])
     def test_unparseable_values_rejected(self, raw):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(raw)
@@ -152,16 +155,21 @@ class TestConfig:
 
     def test_list_keys_parse_each_entry(self):
         config = ExperimentConfig.from_dict({
+            "steps": "120", "noise_seed": 5.0,
             "schema": {"vmag_buses": ["b2"], "vang_nodes": ["b5:a", "b8:a"]},
             "evaluation": {"alphas": [0, "0.25"], "seeds": [3, "12"]}})
         assert (config.vmag_buses, config.vang_nodes) == (("b2",), ("b5:a", "b8:a"))
         assert (config.alphas, config.seeds) == ((0.0, 0.25), (3, 12))
+        assert [type(v) for v in (config.steps, config.noise_seed)] == [int, int]
+        assert (config.steps, config.noise_seed) == (120, 5)
         with pytest.raises(ConfigError, match="evaluation.seeds"):
             ExperimentConfig.from_dict({"evaluation": {"seeds": [1, "x"]}})
 
     @pytest.mark.parametrize("model", [{"groups": 0}, {"heads": 0}, {"d": 0}, {"d_ff": 0},
                                        {"blocks": -1}, {"epochs": -1}, {"lr": -1.0},
-                                       {"lr": float("nan")}, {"lr": float("inf")}])
+                                       {"lr": float("nan")}, {"lr": float("inf")},
+                                       {"lr": "1e-3"}, {"epochs": 8.5}, {"window": 6.0},
+                                       {"seed": True}, {"positional_encoding": 1}])
     def test_impossible_model_sizes_and_rates_are_config_errors(self, model):
         with pytest.raises(ConfigError, match=next(iter(model))):
             ExperimentConfig(model=model).validate()

@@ -204,7 +204,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("key, value", [("groups", 0), ("heads", 0), ("d", 0), ("d_ff", 0),
                                             ("blocks", -1), ("window", -2), ("epochs", -1),
-                                            ("lr", -1), ("lr", ".nan"), ("lr", ".inf")])
+                                            ("lr", -1), ("lr", ".nan"), ("lr", ".inf"),
+                                            ("lr", "1e-3"), ("epochs", 8.5), ("window", "6.0"),
+                                            ("positional_encoding", 1)])
     def test_impossible_model_size_or_rate_is_exit_2(self, tmp_path, key, value):
         cfg = dict(CONFIG, output_dir=str(tmp_path / "out"))
         cfg["model"] = dict(cfg["model"], **{key: "VALUE"})
@@ -266,8 +268,13 @@ class TestExitCodes:
         ("model", "seed", -1, "seed"),
         ("evaluation", "seeds", [0, -1], "evaluation.seeds"),
         ("evaluation", "wls_failure_seeds", -1, "evaluation.wls_failure_seeds"),
+        ("profile", "amplitude", float("nan"), "profile.amplitude"),
+        ("profile", "jitter", float("inf"), "profile.jitter"),
+        (None, "steps", 120.7, "steps"),
+        ("evaluation", "wls_failure_seeds", True, "evaluation.wls_failure_seeds"),
+        ("evaluation", "seeds", [0, 1.5], "evaluation.seeds"),
     ], ids=lambda v: v if isinstance(v, str) else None)
-    def test_nonpositive_sigma_or_day_steps_or_negative_seed_is_exit_2(
+    def test_out_of_range_or_mistyped_value_is_exit_2(
             self, tmp_path, section, key, value, text):
         cfg = dict(CONFIG, output_dir=str(tmp_path / "out"))
         if section is None:
